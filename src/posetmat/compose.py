@@ -24,6 +24,9 @@ rows over the B columns), written here with a = A.rel and d = i-1 the
 
   tri_down mirrors tri_up with min/max swapped.
 
+Operands and outputs are row masks (see `core`), so one kernel builds all
+three kinds from shifted and OR-ed rows; `rows` is a derived view.
+
 The square operation always yields a valid poset matrix.  The triangle
 operations need not: the default-inherit cases can break transitivity
 (for example chain_4 tri_up@3 chain_2).  Nothing is repaired silently;
@@ -33,17 +36,19 @@ flag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .core import (
     InvalidPosetError,
+    Masks,
     PosetMatrix,
     Rows,
     ValidationReport,
     default_labels,
-    maximal_elements,
-    minimal_elements,
-    validate_axioms,
+    rows_from_masks,
+    validate_masks,
 )
 
 
@@ -55,11 +60,23 @@ class CompositionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CompositionResult:
-    """Assembled composition output plus its validation outcome."""
+    """Assembled composition output (row masks) plus its validation outcome.
 
-    rows: Rows
-    labels: tuple[str, ...]
+    Labels are built by `make_labels` when read, so callers that only
+    need the relation never pay for them.
+    """
+
+    masks: Masks
     report: ValidationReport
+    make_labels: Callable[[], tuple[str, ...]] = field(repr=False, compare=False)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.make_labels()
+
+    @cached_property
+    def rows(self) -> Rows:
+        return rows_from_masks(self.masks)
 
     @property
     def valid(self) -> bool:
@@ -67,99 +84,68 @@ class CompositionResult:
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.masks)
 
     def poset(self) -> PosetMatrix:
         if not self.valid:
-            raise InvalidPosetError(
-                "composition output violates the order axioms:\n" + self.report.summary(),
-                self.report,
-            )
-        return PosetMatrix(self.rows, self.labels)
+            summary = self.report.summary()
+            raise InvalidPosetError("composition output violates the order axioms:\n" + summary, self.report)
+        return PosetMatrix(self.masks, self.labels)
 
 
 def _provenance_labels(a: PosetMatrix, d: int, b: PosetMatrix) -> tuple[str, ...]:
     """A's surviving labels around B's labels; clashes get primed."""
-    left = [a.labels[z] for z in range(d)]
-    right = [a.labels[y] for y in range(d + 1, a.order)]
-    taken = set(left) | set(right)
+    left, right = a.labels[:d], a.labels[d + 1:]
+    taken = set(left + right)
     middle = []
     for lab in b.labels:
-        fresh = lab
-        while fresh in taken:
-            fresh += "'"
-        taken.add(fresh)
-        middle.append(fresh)
-    return tuple(left + middle + right)
+        while lab in taken:
+            lab += "'"
+        taken.add(lab)
+        middle.append(lab)
+    return left + tuple(middle) + right
 
 
 def compose(
-    a: PosetMatrix,
-    kind: CompositionKind,
-    i: int,
-    b: PosetMatrix,
-    relabel: bool = False,
+    a: PosetMatrix, kind: CompositionKind, i: int, b: PosetMatrix, relabel: bool = False
 ) -> CompositionResult:
     """Replace position i (1-based) of `a` by `b` under the given kind."""
-    n, m = a.order, b.order
+    n, m = len(a.masks), len(b.masks)
     if not 1 <= i <= n:
         raise ValueError(f"position {i} out of range 1..{n}")
     d = i - 1
-    size = n + m - 1
-    out = [[0] * size for _ in range(size)]
-
-    # Diagonal blocks: left A block, B block, right A block.
-    for y in range(d):
-        for z in range(d):
-            out[y][z] = a.rel[y][z]
-    for y in range(m):
-        for z in range(m):
-            out[d + y][d + z] = b.rel[y][z]
-    for y in range(d + 1, n):
-        for z in range(d + 1, n):
-            out[y + m - 1][z + m - 1] = a.rel[y][z]
-    # Lower-left A block (right A rows over left A columns).
-    for y in range(d + 1, n):
-        for z in range(d):
-            out[y + m - 1][z] = a.rel[y][z]
-
+    # U row y (B position) drops u_clear when y is in u_sel; V row y
+    # (A position) drops v_clear when y is in v_sel.  -1 selects everything.
     if kind is CompositionKind.SQUARE:
-        u_zero = lambda y, z: False
-        v_zero = lambda y, z: False
+        u_sel = u_clear = v_sel = v_clear = 0
     else:
-        p = set(minimal_elements(a).positions)
-        q = set(minimal_elements(b).positions)
-        r = set(maximal_elements(a).positions)
-        s = set(maximal_elements(b).positions)
-        if kind is CompositionKind.TRI_UP:
-            if d in r:
-                u_zero = lambda y, z: y not in s
-                v_zero = lambda y, z: z not in s
-            else:
-                u_zero = lambda y, z: y in q and z in p
-                v_zero = lambda y, z: y in p and z in q
+        up = kind is CompositionKind.TRI_UP
+        a_end, b_end = (a.maximal, b.maximal) if up else (a.minimal, b.minimal)
+        if a_end >> d & 1:
+            # Only B's maximal (tri_up) or minimal (tri_down) elements inherit.
+            u_sel, u_clear, v_sel, v_clear = ~b_end, -1, -1, ~b_end
         else:
-            if d in p:
-                u_zero = lambda y, z: y not in q
-                v_zero = lambda y, z: z not in q
-            else:
-                u_zero = lambda y, z: y in s and z in r
-                v_zero = lambda y, z: y in r and z in s
+            # Opposite-end pairs, one from each side, stay unrelated.
+            a_far, b_far = (a.minimal, b.minimal) if up else (a.maximal, b.maximal)
+            u_sel, u_clear, v_sel, v_clear = b_far, a_far, a_far, b_far
 
-    # U block: B rows (y, B position) over left A columns (z, A position).
-    for y in range(m):
-        for z in range(d):
-            if a.rel[d][z] and not u_zero(y, z):
-                out[d + y][z] = 1
-    # V block: right A rows (y, A position) over B columns (z, B position).
+    below = (1 << d) - 1
+    u_row = a.masks[d] & below
+    u_kept = u_row & ~u_clear
+    v_row = (1 << m) - 1 << d
+    v_kept = v_row & ~(v_clear << d)
+    out = list(a.masks[:d])
+    out += [bm << d | (u_kept if u_sel >> y & 1 else u_row) for y, bm in enumerate(b.masks)]
     for y in range(d + 1, n):
-        for z in range(m):
-            if a.rel[y][d] and not v_zero(y, z):
-                out[y + m - 1][d + z] = 1
+        am = a.masks[y]
+        row = am & below | am >> i << (i + m - 1)
+        if am >> d & 1:
+            row |= v_kept if v_sel >> y & 1 else v_row
+        out.append(row)
 
-    rows = tuple(tuple(row) for row in out)
-    labels = default_labels(size) if relabel else _provenance_labels(a, d, b)
-    return CompositionResult(rows, labels, validate_axioms(rows))
+    masks = tuple(out)
+    labels = partial(default_labels, n + m - 1) if relabel else partial(_provenance_labels, a, d, b)
+    return CompositionResult(masks, validate_masks(masks), labels)
 
 
 def compose_square(a: PosetMatrix, i: int, b: PosetMatrix, relabel: bool = False) -> CompositionResult:

@@ -7,16 +7,21 @@ extension, so every accepted matrix is lower-triangular; candidates that
 satisfy the order axioms under some other row order can be repaired with
 `normalize_linear_extension`.
 
+A matrix is stored as one low-bit row mask per position: bit z of
+``masks[y]`` is ``rel[y][z]``.  The tuple-of-tuples ``rel`` is a derived,
+read-only view for display and for callers that index cells.
+
 Positions are 0-based internally.  Labels are arbitrary distinct strings
 riding along for display; they default to "1".."n".
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Rows = tuple[tuple[int, ...], ...]
+Masks = tuple[int, ...]
 
 
 class PosetError(Exception):
@@ -73,12 +78,28 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+_VALID = ValidationReport(True, True, True, True, ())
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(k + 1) for k in range(n))
 
 
-def _coerce_rows(candidate: Sequence[Sequence[int]]) -> Rows:
-    """Check shape and entries, return an immutable copy."""
+def rows_from_masks(masks: Masks) -> Rows:
+    cols = range(len(masks))
+    return tuple(tuple([mask >> z & 1 for z in cols]) for mask in masks)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _coerce_masks(candidate: Sequence[Sequence[int]]) -> Masks:
+    """Check shape and entries, return the row masks."""
     rows = tuple(tuple(row) for row in candidate)
     n = len(rows)
     if n == 0:
@@ -91,7 +112,7 @@ def _coerce_rows(candidate: Sequence[Sequence[int]]) -> Rows:
         for z, cell in enumerate(row):
             if cell not in (0, 1):
                 raise MalformedMatrixError(f"entry ({y},{z}) is {cell!r}, expected 0 or 1")
-    return rows
+    return tuple(sum(cell << z for z, cell in enumerate(row)) for row in rows)
 
 
 def _coerce_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
@@ -111,72 +132,105 @@ def validate_axioms(candidate: Sequence[Sequence[int]], labels: Sequence[str] | 
     Collects every violation with a concrete witness; raises
     MalformedMatrixError only when the input is not a square 0/1 matrix.
     """
-    rows = _coerce_rows(candidate)
-    _coerce_labels(len(rows), labels)
-    n = len(rows)
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    for k in range(n):
-        if rows[k][k] != 1:
-            violations.append(("reflexive", (k,)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] and rows[j][i]:
-                violations.append(("antisymmetric", (i, j)))
-    for y in range(n):
-        for z in range(n):
-            if z == y or not rows[y][z]:
-                continue
-            for w in range(n):
-                if w == z:
-                    continue
-                if rows[z][w] and not rows[y][w]:
-                    violations.append(("transitive", (y, z, w)))
-    lower = all(rows[y][z] == 0 for y in range(n) for z in range(y + 1, n))
-    kinds = {axiom for axiom, _ in violations}
+    masks = _coerce_masks(candidate)
+    _coerce_labels(len(masks), labels)
+    return validate_masks(masks)
+
+
+def _order_axioms_hold(
+    candidate: Sequence[Sequence[int]], labels: Sequence[str] | None
+) -> tuple[Masks, tuple[str, ...], ValidationReport]:
+    """Coerced masks, labels and report of a candidate; raises unless the axioms hold."""
+    masks = _coerce_masks(candidate)
+    labs = _coerce_labels(len(masks), labels)
+    report = validate_masks(masks)
+    if not report.ok:
+        raise InvalidPosetError("candidate violates the order axioms:\n" + report.summary(), report)
+    return masks, labs, report
+
+
+def validate_masks(masks: Masks) -> ValidationReport:
+    """`validate_axioms` on row masks, which are trusted to be n ints below 2**n.
+
+    Row y is transitive iff the union of its members' rows stays inside
+    it; only rows failing that test are walked for witnesses.
+    """
+    regular = all(mask >> y == 1 for y, mask in enumerate(masks))  # reflexive, lower-triangular
+    transitive = []
+    for y, row in enumerate(masks):
+        reach = row
+        rest = row ^ 1 << y  # skips y itself, or adds it when absent: masks[y] is row
+        while rest:
+            low = rest & -rest
+            reach |= masks[low.bit_length() - 1]
+            rest ^= low
+        if reach != row:
+            transitive += [
+                ("transitive", (y, z, w)) for z in _bits(row & ~(1 << y)) for w in _bits(masks[z] & ~row)
+            ]
+    if regular and not transitive:
+        return _VALID
+    n = len(masks)
+    reflexive = [("reflexive", (k,)) for k in range(n) if not masks[k] >> k & 1]
+    antisymmetric = [
+        ("antisymmetric", (i, j)) for i in range(n) for j in range(i + 1, n) if masks[i] >> j & masks[j] >> i & 1
+    ]
     return ValidationReport(
-        reflexive_ok="reflexive" not in kinds,
-        antisymmetric_ok="antisymmetric" not in kinds,
-        transitive_ok="transitive" not in kinds,
-        lower_triangular_ok=lower,
-        violations=tuple(violations),
+        reflexive_ok=not reflexive,
+        antisymmetric_ok=not antisymmetric,
+        transitive_ok=not transitive,
+        lower_triangular_ok=all(mask >> y <= 1 for y, mask in enumerate(masks)),
+        violations=tuple(reflexive + antisymmetric + transitive),
     )
 
 
 @dataclass(frozen=True)
 class PosetMatrix:
-    """A validated, lower-triangular poset matrix.
+    """A validated, lower-triangular poset matrix held as low-bit row masks.
 
     Build through `from_rows` (full validation) rather than the bare
     constructor; anything that reaches the constructor is trusted.
     """
 
-    rel: Rows
+    masks: Masks
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.rel):
+        if len(self.labels) != len(self.masks):
             raise MalformedMatrixError("label count does not match order")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> "PosetMatrix":
-        rel = _coerce_rows(rows)
-        labs = _coerce_labels(len(rel), labels)
-        report = validate_axioms(rel)
-        if not report.ok:
-            raise InvalidPosetError(
-                "candidate violates the order axioms:\n" + report.summary(), report
-            )
+        masks, labs, report = _order_axioms_hold(rows, labels)
         if not report.lower_triangular_ok:
             raise StorageOrderError(
-                "storage order is not a linear extension; "
-                "apply normalize_linear_extension first",
-                report,
+                "storage order is not a linear extension; apply normalize_linear_extension first", report
             )
-        return PosetMatrix(rel, labs)
+        return PosetMatrix(masks, labs)
+
+    @cached_property
+    def rel(self) -> Rows:
+        """The matrix as rows of 0/1 cells."""
+        return rows_from_masks(self.masks)
+
+    @cached_property
+    def up(self) -> Masks:
+        """Per position: mask of the positions at or above it (the column)."""
+        return tuple(sum(1 << y for y, mask in enumerate(self.masks) if mask >> z & 1) for z in range(self.order))
+
+    @cached_property
+    def minimal(self) -> int:
+        """Mask of the positions with nothing strictly below them."""
+        return sum(1 << y for y, mask in enumerate(self.masks) if mask == 1 << y)
+
+    @cached_property
+    def maximal(self) -> int:
+        """Mask of the positions with nothing strictly above them."""
+        return sum(1 << z for z, mask in enumerate(self.up) if mask == 1 << z)
 
     @property
     def order(self) -> int:
-        return len(self.rel)
+        return len(self.masks)
 
     def position_of(self, label: str) -> int:
         try:
@@ -186,21 +240,7 @@ class PosetMatrix:
 
     def relabelled(self, labels: Sequence[str] | None = None) -> "PosetMatrix":
         """Same relation with fresh labels (default "1".."n")."""
-        return PosetMatrix(self.rel, _coerce_labels(self.order, labels))
-
-    def strict_down_masks(self) -> tuple[int, ...]:
-        """Per position: bitmask of positions strictly below it."""
-        return tuple(
-            sum(1 << z for z in range(self.order) if z != y and self.rel[y][z])
-            for y in range(self.order)
-        )
-
-    def strict_up_masks(self) -> tuple[int, ...]:
-        """Per position: bitmask of positions strictly above it."""
-        return tuple(
-            sum(1 << y for y in range(self.order) if y != z and self.rel[y][z])
-            for z in range(self.order)
-        )
+        return PosetMatrix(self.masks, _coerce_labels(self.order, labels))
 
     def __str__(self) -> str:
         width = max(len(lab) for lab in self.labels)
@@ -248,14 +288,20 @@ class LabelSet:
 
 def minimal_elements(m: PosetMatrix) -> LabelSet:
     """Positions whose row is zero off the diagonal (nothing below them)."""
-    pos = [y for y, mask in enumerate(m.strict_down_masks()) if mask == 0]
-    return LabelSet(tuple(pos), m.labels)
+    return LabelSet(tuple(_bits(m.minimal)), m.labels)
 
 
 def maximal_elements(m: PosetMatrix) -> LabelSet:
     """Positions whose column is zero off the diagonal (nothing above them)."""
-    pos = [z for z, mask in enumerate(m.strict_up_masks()) if mask == 0]
-    return LabelSet(tuple(pos), m.labels)
+    return LabelSet(tuple(_bits(m.maximal)), m.labels)
+
+
+def _principal(masks: Masks, positions: Sequence[int]) -> Masks:
+    """Rows and columns `positions` of a mask matrix, in that order."""
+    return tuple(
+        sum(1 << q for q, z in enumerate(positions) if masks[y] >> z & 1)
+        for y in positions
+    )
 
 
 def dual(m: PosetMatrix) -> PosetMatrix:
@@ -265,11 +311,7 @@ def dual(m: PosetMatrix) -> PosetMatrix:
     extension is a linear extension of the reversed poset).  Involution:
     dual(dual(m)) == m bit for bit.
     """
-    n = m.order
-    rel = tuple(
-        tuple(m.rel[n - 1 - q][n - 1 - p] for q in range(n)) for p in range(n)
-    )
-    return PosetMatrix(rel, tuple(reversed(m.labels)))
+    return PosetMatrix(_principal(m.up, range(m.order - 1, -1, -1)), tuple(reversed(m.labels)))
 
 
 def induced_subposet(m: PosetMatrix, subset: LabelSet | Iterable[int]) -> PosetMatrix:
@@ -280,40 +322,26 @@ def induced_subposet(m: PosetMatrix, subset: LabelSet | Iterable[int]) -> PosetM
     for p in pos:
         if not 0 <= p < m.order:
             raise ValueError(f"position {p} out of range for order {m.order}")
-    rel = tuple(tuple(m.rel[y][z] for z in pos) for y in pos)
-    return PosetMatrix(rel, tuple(m.labels[p] for p in pos))
+    return PosetMatrix(_principal(m.masks, pos), tuple(m.labels[p] for p in pos))
 
 
 def is_connected(m: PosetMatrix) -> bool:
     """Connectivity of the comparability graph; order 1 is connected."""
-    n = m.order
-    down = m.strict_down_masks()
-    up = m.strict_up_masks()
-    adj = [down[k] | up[k] for k in range(n)]
-    seen = 1
-    frontier = 1
+    seen = frontier = 1
     while frontier:
         grown = seen
-        for k in range(n):
-            if frontier >> k & 1:
-                grown |= adj[k]
-        frontier = grown & ~seen
-        seen = grown
-    return seen == (1 << n) - 1
+        for k in _bits(frontier):
+            grown |= m.masks[k] | m.up[k]
+        seen, frontier = grown, grown & ~seen
+    return seen == (1 << m.order) - 1
 
 
 def hasse_edges(m: PosetMatrix) -> tuple[tuple[int, int], ...]:
     """Covering pairs (lower, upper) as positions, lexicographically sorted."""
-    n = m.order
-    down = m.strict_down_masks()
-    up = m.strict_up_masks()
     edges = []
-    for y in range(n):
-        for z in range(n):
-            if z == y or not m.rel[y][z]:
-                continue
-            between = down[y] & up[z] & ~(1 << y) & ~(1 << z)
-            if between == 0:
+    for y, mask in enumerate(m.masks):
+        for z in _bits(mask & ~(1 << y)):
+            if mask & m.up[z] & ~(1 << y | 1 << z) == 0:
                 edges.append((z, y))
     return tuple(sorted(edges))
 
@@ -328,27 +356,12 @@ def normalize_linear_extension(
     deterministic.  Fails with the validation report if the axioms do not
     hold under any order.
     """
-    rows = _coerce_rows(candidate)
-    labs = _coerce_labels(len(rows), labels)
-    report = validate_axioms(rows)
-    if not report.ok:
-        raise InvalidPosetError(
-            "candidate violates the order axioms:\n" + report.summary(), report
-        )
-    n = len(rows)
-    below = {
-        y: {z for z in range(n) if z != y and rows[y][z]} for y in range(n)
-    }
+    masks, labs, _ = _order_axioms_hold(candidate, labels)
     placed: list[int] = []
-    ready = [y for y in range(n) if not below[y]]
-    heapq.heapify(ready)
-    done: set[int] = set()
-    while ready:
-        y = heapq.heappop(ready)
+    done = 0
+    for _ in masks:
+        # The first position not yet placed whose strict down-set is placed.
+        y = next(y for y, mask in enumerate(masks) if mask & ~done == 1 << y)
         placed.append(y)
-        done.add(y)
-        for v in range(n):
-            if v not in done and v not in ready and below[v] <= done:
-                heapq.heappush(ready, v)
-    rel = tuple(tuple(rows[y][z] for z in placed) for y in placed)
-    return PosetMatrix(rel, tuple(labs[y] for y in placed))
+        done |= 1 << y
+    return PosetMatrix(_principal(masks, placed), tuple(labs[y] for y in placed))

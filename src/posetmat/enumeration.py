@@ -191,7 +191,8 @@ def _compose_chunk(
     best: dict[int, str] = {}
     invalid = 0
     for left, left_recipe, kind_value, i, right, right_recipe in tasks:
-        result = compose(left, CompositionKind(kind_value), i, right)
+        # Only the class is kept, so default labels spare building provenance ones.
+        result = compose(left, CompositionKind(kind_value), i, right, relabel=True)
         if not result.valid:
             invalid += 1
             continue

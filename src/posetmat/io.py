@@ -36,7 +36,7 @@ from .core import (
     default_labels,
     dual,
     hasse_edges,
-    validate_axioms,
+    validate_masks,
 )
 from .generators import C2, I2
 
@@ -107,8 +107,8 @@ def serialize_matrix(m: PosetMatrix) -> str:
     lines = [str(m.order)]
     if m.labels != default_labels(m.order):
         lines.append("labels: " + " ".join(m.labels))
-    for row in m.rel:
-        lines.append(" ".join(str(c) for c in row))
+    for mask in m.masks:
+        lines.append(" ".join(format(mask, f"0{m.order}b")[::-1]))
     return "\n".join(lines) + "\n"
 
 
@@ -268,7 +268,7 @@ def eval_recipe(expr: RecipeExpr) -> CompositionResult:
     """Evaluate a parsed recipe; the top level keeps its validation report."""
     if isinstance(expr, RecipeRef):
         m = expr.matrix
-        return CompositionResult(m.rel, m.labels, validate_axioms(m.rel))
+        return CompositionResult(m.masks, validate_masks(m.masks), lambda: m.labels)
     left = _eval(expr.left)
     right = _eval(expr.right)
     if not 1 <= expr.position <= left.order:

@@ -1,0 +1,129 @@
+"""Cell-loop reference implementations of axiom validation and composition.
+
+These are the straightforward tuple-of-tuples versions that the row-mask
+core replaced.  They read only `rel` and `labels` of their operands and
+share no code with `posetmat.core` or `posetmat.compose`, so tests can
+require the fast paths to agree with them cell for cell, label for label
+and witness for witness.
+"""
+from posetmat.core import ValidationReport
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def validate_axioms(rows: Rows) -> ValidationReport:
+    """Every axiom violation with its witness, found by nested loops."""
+    n = len(rows)
+    violations = []
+    for k in range(n):
+        if rows[k][k] != 1:
+            violations.append(("reflexive", (k,)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] and rows[j][i]:
+                violations.append(("antisymmetric", (i, j)))
+    for y in range(n):
+        for z in range(n):
+            if z == y or not rows[y][z]:
+                continue
+            for w in range(n):
+                if w == z:
+                    continue
+                if rows[z][w] and not rows[y][w]:
+                    violations.append(("transitive", (y, z, w)))
+    lower = all(rows[y][z] == 0 for y in range(n) for z in range(y + 1, n))
+    kinds = {axiom for axiom, _ in violations}
+    return ValidationReport(
+        reflexive_ok="reflexive" not in kinds,
+        antisymmetric_ok="antisymmetric" not in kinds,
+        transitive_ok="transitive" not in kinds,
+        lower_triangular_ok=lower,
+        violations=tuple(violations),
+    )
+
+
+def _minimal(rel: Rows) -> set[int]:
+    n = len(rel)
+    return {y for y in range(n) if not any(rel[y][z] for z in range(n) if z != y)}
+
+
+def _maximal(rel: Rows) -> set[int]:
+    n = len(rel)
+    return {z for z in range(n) if not any(rel[y][z] for y in range(n) if y != z)}
+
+
+def provenance_labels(a, d: int, b) -> tuple[str, ...]:
+    """A's surviving labels around B's labels; clashes get primed."""
+    left = [a.labels[z] for z in range(d)]
+    right = [a.labels[y] for y in range(d + 1, len(a.rel))]
+    taken = set(left) | set(right)
+    middle = []
+    for lab in b.labels:
+        fresh = lab
+        while fresh in taken:
+            fresh += "'"
+        taken.add(fresh)
+        middle.append(fresh)
+    return tuple(left + middle + right)
+
+
+def compose(a, kind: str, i: int, b) -> tuple[Rows, tuple[str, ...], ValidationReport]:
+    """Rows, provenance labels and report of `a kind@i b`, cell by cell.
+
+    `kind` is "sq", "up" or "dn"; `i` is 1-based.
+    """
+    ar, br = a.rel, b.rel
+    n, m = len(ar), len(br)
+    d = i - 1
+    size = n + m - 1
+    out = [[0] * size for _ in range(size)]
+
+    # Diagonal blocks: left A block, B block, right A block.
+    for y in range(d):
+        for z in range(d):
+            out[y][z] = ar[y][z]
+    for y in range(m):
+        for z in range(m):
+            out[d + y][d + z] = br[y][z]
+    for y in range(d + 1, n):
+        for z in range(d + 1, n):
+            out[y + m - 1][z + m - 1] = ar[y][z]
+    # Lower-left A block (right A rows over left A columns).
+    for y in range(d + 1, n):
+        for z in range(d):
+            out[y + m - 1][z] = ar[y][z]
+
+    if kind == "sq":
+        u_zero = lambda y, z: False
+        v_zero = lambda y, z: False
+    else:
+        p, q = _minimal(ar), _minimal(br)
+        r, s = _maximal(ar), _maximal(br)
+        if kind == "up":
+            if d in r:
+                u_zero = lambda y, z: y not in s
+                v_zero = lambda y, z: z not in s
+            else:
+                u_zero = lambda y, z: y in q and z in p
+                v_zero = lambda y, z: y in p and z in q
+        else:
+            if d in p:
+                u_zero = lambda y, z: y not in q
+                v_zero = lambda y, z: z not in q
+            else:
+                u_zero = lambda y, z: y in s and z in r
+                v_zero = lambda y, z: y in r and z in s
+
+    # U block: B rows (y, B position) over left A columns (z, A position).
+    for y in range(m):
+        for z in range(d):
+            if ar[d][z] and not u_zero(y, z):
+                out[d + y][z] = 1
+    # V block: right A rows (y, A position) over B columns (z, B position).
+    for y in range(d + 1, n):
+        for z in range(m):
+            if ar[y][d] and not v_zero(y, z):
+                out[y + m - 1][d + z] = 1
+
+    rows = tuple(tuple(row) for row in out)
+    return rows, provenance_labels(a, d, b), validate_axioms(rows)

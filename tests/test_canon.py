@@ -100,3 +100,9 @@ def test_chain_canonical_bits_are_full_lower_triangle():
     # chain class contains nothing else, so the key is exactly that matrix
     key = canonical_form(chain(4))
     assert key.rows() == chain(4).rel
+
+
+def test_canonical_cache_is_bounded():
+    from posetmat.canon import _canonical_packed
+
+    assert isinstance(_canonical_packed.cache_info().maxsize, int)
