@@ -3,8 +3,8 @@
 One test per release criterion, in order.  Each test finishes by
 printing a single summary line, so ``pytest -s tests/test_acceptance.py``
 reads as a checklist; a failing criterion shows up as an ordinary pytest
-failure instead of a line.  The extended order-7 count run hides behind
-the ``slow`` marker (``pytest -m slow``).
+failure instead of a line.  The extended order-7 and order-8 count runs
+hide behind the ``slow`` marker (``pytest -m slow``).
 """
 import itertools
 import random
@@ -25,6 +25,7 @@ from posetmat import (
     minimal_elements,
     validate_axioms,
 )
+from posetmat.cli import main
 from posetmat.enumeration import (
     KNOWN_COUNTS,
     composition_closure,
@@ -129,6 +130,17 @@ def test_criterion_1_extended_order_7():
     assert (catalog.total, catalog.connected_count) == (2045, 1650)
     assert elapsed < 600.0
     print(f"criterion 1 (extended): PASS  order-7 counts 2045/1650 in {elapsed:.2f}s")
+
+
+@pytest.mark.slow
+def test_criterion_1_extended_order_8():
+    start = time.monotonic()
+    catalog = enumerate_oracle(8)
+    elapsed = time.monotonic() - start
+    assert (catalog.total, catalog.connected_count) == (16999, 14512)
+    assert elapsed < 120.0
+    assert main(["count", "--max-order", "8", "--expect"]) == 0
+    print(f"criterion 1 (extended): PASS  order-8 counts 16999/14512 in {elapsed:.2f}s")
 
 
 def test_criterion_2_hand_checked_matrices():

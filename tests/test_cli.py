@@ -276,6 +276,13 @@ def test_count_without_expectations(capsys):
     assert out.splitlines()[-1].split() == ["3", "oracle", "5", "3"]
 
 
+def test_count_beyond_the_oracle_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--max-order", "9", "--expect")
+    assert code == 2
+    assert out == ""
+    assert "order must be 1..8" in err
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(tmp_path / "nope.pm"))
     assert code == 2

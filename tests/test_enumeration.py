@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from posetmat import (
@@ -18,7 +20,14 @@ from posetmat import (
     parse_recipe,
     run_order5_table,
 )
-from posetmat.enumeration import base_catalog, iter_matrices
+from posetmat.canon import packed_from_masks
+from posetmat.core import default_labels
+from posetmat.enumeration import (
+    MAX_ORACLE_ORDER,
+    _catalog_from_packed,
+    base_catalog,
+    iter_matrices,
+)
 
 from conftest import iter_all_posets
 
@@ -71,6 +80,48 @@ def test_oracle_entries_sorted_by_key():
 
 def test_oracle_worker_counts_agree():
     assert enumerate_oracle(5, workers=2).entries == enumerate_oracle(5).entries
+
+
+def labelled_walk_classes(n):
+    """Class key -> connected flag, from every labelled matrix of order n."""
+    classes = {}
+    for rows in iter_matrices(n):
+        key = CanonicalKey(n, packed_from_masks(n, rows))
+        if key not in classes:
+            classes[key] = is_connected(PosetMatrix(rows, default_labels(n)))
+    return classes
+
+
+def assert_oracle_matches_labelled_walk(n):
+    catalog = enumerate_oracle(n)
+    classes = labelled_walk_classes(n)
+    assert list(catalog.entries) == sorted(classes)
+    for key, entry in catalog.entries.items():
+        assert entry.representative == key.matrix()
+        assert entry.connected == classes[key]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_oracle_matches_labelled_walk(n):
+    assert_oracle_matches_labelled_walk(n)
+
+
+@pytest.mark.slow
+def test_oracle_matches_labelled_walk_order7():
+    assert_oracle_matches_labelled_walk(7)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_emits_the_labelled_walk_bytes(tmp_path, workers):
+    def snapshot(catalog, directory):
+        emit_catalog(catalog, directory)
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    for n in range(1, 7):
+        walk = _catalog_from_packed(n, (packed_from_masks(n, rows) for rows in iter_matrices(n)))
+        assert snapshot(enumerate_oracle(n, workers), tmp_path / f"oracle{n}") == snapshot(
+            walk, tmp_path / f"walk{n}"
+        )
 
 
 def test_restricted_to_connected():
@@ -230,3 +281,11 @@ def test_count_table_render_is_stable():
     one = count_table(4, method="both", expected=KNOWN_COUNTS).render()
     two = count_table(4, method="both", expected=KNOWN_COUNTS, workers=2).render()
     assert one == two
+
+
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_count_table_refuses_large_orders_before_any_work(method):
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"order must be 1..{MAX_ORACLE_ORDER}"):
+        count_table(MAX_ORACLE_ORDER + 1, method=method)
+    assert time.monotonic() - start < 1.0
