@@ -6,10 +6,41 @@ achieving the minimum is always a linear extension: if the matrix had a 1
 above the diagonal, take the first row r with one, at column c; moving the
 element at c to position r (shifting the block between them right) leaves
 rows above r untouched and strictly shrinks row r, so the string was not
-minimal.  The search below therefore walks linear extensions only, with
-branch-and-bound pruning against the best string found so far, and skips
-interchangeable twin elements (equal strict down- and up-sets), which is
-an automorphism and cannot change the outcome.
+minimal.  The search below therefore walks linear extensions only, one
+output position per depth, with branch-and-bound pruning against the best
+string found so far: a child whose row exceeds the best row at its depth
+is cut, and a child that lowers it resets every deeper best row.  So every
+prefix the search follows has exactly the best rows, and every leaf it
+reaches either lowers the best string or reproduces it.
+
+Two leaves with identical rows differ by an automorphism of the poset:
+placing held[i] at position i and placing chosen[i] there give the same
+matrix, so gamma(held[i]) = chosen[i] preserves the order.  An
+automorphism that fixes a node's prefix pointwise maps the subtree of one
+child onto the subtree of another with the same rows, string for string,
+and a subtree searched already holds no string below the best one.  The
+search records gamma and uses it in two ways, neither of which changes
+the least string:
+
+* gamma fixes the common prefix chosen[:d] of the two leaves and maps
+  the child held[d], searched already, onto chosen[d], where the leaves
+  part.  So the rest of the subtree under chosen[d] holds nothing new,
+  and the search unwinds straight to depth d.
+* At each node it keeps the recorded automorphisms that fix the node's
+  prefix pointwise and skips any child in the orbit, under them, of a
+  child searched already at that node.
+
+Interchangeable twins (equal strict down- and up-sets) are the cheap
+special case: swapping two of them is an automorphism fixing everything
+else, so only the first of each is tried.  The held leaf is forgotten
+whenever a best row is lowered, so gamma is only ever taken between
+leaves with the same rows.
+
+Candidate rows are built incrementally: `acc[e]` carries the output bits
+of e's placed strict down-set.  Placing e at position k sets the bit of
+column k in `acc` of every element above e, and removing e clears it,
+so a candidate's row is `acc[e]` plus its diagonal bit, with no walk over
+the prefix.
 """
 from __future__ import annotations
 
@@ -64,31 +95,55 @@ class CanonicalKey:
         return PosetMatrix(masks, default_labels(n))
 
 
-def _minimal_row_ints(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest output rows over all linear extensions; row ints are MSB=col 0."""
+def _orbit(mask: int, gens: list[list[int]]) -> int:
+    """Closure of a set of elements (a bitmask) under the permutations `gens`."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
+        for g in gens:
+            y = 1 << g[x]
+            if not mask & y:
+                mask |= y
+                todo |= y
+    return mask
+
+
+def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[int, ...]:
+    """Smallest output rows over all linear extensions; row ints are MSB=col 0.
+
+    `down[e]`/`up[e]` are the strict down- and up-sets of element e as
+    bitmasks.  Depth k of the search places one element at output
+    position k; `chosen[:k]` is the placed prefix.
+    """
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
     chosen = [0] * n
+    acc = [0] * n  # acc[e]: output-row bits of the placed part of e's strict down-set
+    autos: list[list[int]] = []  # automorphisms found, as maps gamma[x]
+    held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
 
-    def rec(k: int, used: int) -> None:
+    def rec(k: int, used: int, fixing: list[list[int]]) -> int:
+        """Search below prefix `chosen[:k]`; return the depth to unwind to (n: none).
+
+        `fixing` holds the found automorphisms that fix `chosen[:k]`
+        pointwise; the ones found below are appended as the search returns.
+        """
+        bit = 1 << (n - 1 - k)
         candidates = []
         seen_twins = set()
         for e in range(n):
-            if used >> e & 1:
-                continue
-            if down[e] & ~used:
+            if used >> e & 1 or down[e] & ~used:
                 continue
             twin = (down[e], up[e])
             if twin in seen_twins:
                 continue
             seen_twins.add(twin)
-            row = 1 << (n - 1 - k)
-            de = down[e]
-            for j in range(k):
-                if de >> chosen[j] & 1:
-                    row |= 1 << (n - 1 - j)
-            candidates.append((row, e))
+            candidates.append((acc[e] | bit, e))
         candidates.sort()
+        cursor = len(autos)
+        explored = 0  # orbit of the children searched so far, under `fixing`
         for row, e in candidates:
             if row > best[k]:
                 break
@@ -96,22 +151,59 @@ def _minimal_row_ints(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> tup
                 best[k] = row
                 for j in range(k + 1, n):
                     best[j] = sentinel
+                held.clear()
+            elif explored >> e & 1:
+                continue
             chosen[k] = e
             if k + 1 == n:
-                continue
-            rec(k + 1, used | 1 << e)
+                if not held:
+                    held.extend(chosen)
+                    return n
+                # Same rows as the held leaf: held[i] -> chosen[i] is an
+                # automorphism fixing their common prefix chosen[:d], and it
+                # maps the child held[d], searched already, onto chosen[d].
+                gamma = [0] * n
+                d = n
+                for i in range(n):
+                    gamma[held[i]] = chosen[i]
+                    if d == n and held[i] != chosen[i]:
+                        d = i
+                autos.append(gamma)
+                return d
+            rest = up[e]
+            while rest:
+                low = rest & -rest
+                acc[low.bit_length() - 1] |= bit
+                rest ^= low
+            depth = rec(k + 1, used | 1 << e, [g for g in fixing if g[e] == e])
+            rest = up[e]
+            while rest:
+                low = rest & -rest
+                acc[low.bit_length() - 1] ^= bit
+                rest ^= low
+            if depth < k:
+                return depth
+            if len(autos) > cursor:
+                fixing.extend(autos[cursor:])
+                cursor = len(autos)
+            explored = _orbit(explored | 1 << e, fixing) if fixing else explored | 1 << e
+        return n
 
-    rec(0, 0)
+    rec(0, 0, [])
     return tuple(best)
 
 
 def packed_from_masks(n: int, row_masks: Sequence[int]) -> int:
     """Canonical packed bit-string for a matrix given as low-bit row masks."""
-    down = tuple(row_masks[y] & ~(1 << y) for y in range(n))
-    up = tuple(
-        sum(1 << y for y in range(n) if y != z and row_masks[y] >> z & 1)
-        for z in range(n)
-    )
+    down = [0] * n
+    up = [0] * n
+    for y in range(n):
+        rest = row_masks[y] & ~(1 << y)
+        down[y] = rest
+        while rest:
+            low = rest & -rest
+            up[low.bit_length() - 1] |= 1 << y
+            rest ^= low
     rows = _minimal_row_ints(n, down, up)
     packed = 0
     for row in rows:

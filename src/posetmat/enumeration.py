@@ -20,6 +20,7 @@ Two independent routes:
 Both routes partition their work (a level's parent representatives, or
 the composition tasks) into independent chunks whose per-chunk results
 merge associatively, so the outcome does not depend on the worker count.
+With more than one worker, one process pool serves every level of a call.
 """
 from __future__ import annotations
 
@@ -145,11 +146,33 @@ def _partition(items: list, workers: int) -> list[list]:
     return chunks
 
 
-def _map_chunks(func, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(func, tasks)
+class _ChunkMap:
+    """Maps a function over task chunks, in one pool shared by every map of a call.
+
+    The pool opens at the first map with more than one chunk and closes
+    when the `with` block ends, so a call that maps level after level
+    starts its worker processes once.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = max(1, workers)
+        self._pool = None
+
+    def __enter__(self) -> "_ChunkMap":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+    def __call__(self, func, tasks: list) -> list:
+        if self.workers == 1 or len(tasks) <= 1:
+            return [func(t) for t in tasks]
+        if self._pool is None:
+            self._pool = multiprocessing.Pool(self.workers)
+        return self._pool.map(func, tasks)
 
 
 def _catalog_from_packed(order: int, packed_keys: Iterable[int]) -> ClassCatalog:
@@ -174,15 +197,22 @@ def _extend_chunk(args: tuple[int, list[int]]) -> set[int]:
     return found
 
 
+def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[set[int]]:
+    """Packed canonical keys of every class of orders 1..n, one set per order."""
+    levels = [{1}]  # the one-element poset; its 1x1 matrix packs to 1
+    for k in range(1, n):
+        parents = _partition(list(levels[-1]), chunk_map.workers)
+        tasks = [(k, chunk) for chunk in parents if chunk]
+        levels.append(set().union(*chunk_map(_extend_chunk, tasks)))
+    return levels
+
+
 def enumerate_oracle(n: int, workers: int = 1) -> ClassCatalog:
     """Every isomorphism class of order n, by one-point extension."""
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
-    level = {1}  # the one-element poset; its 1x1 matrix packs to 1
-    for k in range(1, n):
-        tasks = [(k, chunk) for chunk in _partition(list(level), workers) if chunk]
-        level = set().union(*_map_chunks(_extend_chunk, tasks, workers))
-    return _catalog_from_packed(n, level)
+    with _ChunkMap(workers) as chunk_map:
+        return _catalog_from_packed(n, _oracle_levels(n, chunk_map)[-1])
 
 
 def _wrap(recipe: str) -> str:
@@ -233,6 +263,16 @@ def enumerate_by_composition(
     the lexicographically smaller), so the result does not depend on
     iteration order or worker count.
     """
+    with _ChunkMap(workers) as chunk_map:
+        return _compose_order(n, seeds, kinds, chunk_map)
+
+
+def _compose_order(
+    n: int,
+    seeds: Mapping[int, ClassCatalog],
+    kinds: Sequence[CompositionKind],
+    chunk_map: _ChunkMap,
+) -> ClassCatalog:
     if n == 2:
         return base_catalog()
     if n < 2:
@@ -256,8 +296,8 @@ def enumerate_by_composition(
                                 b_entry.recipe or "?",
                             )
                         )
-    chunked = [(n, chunk) for chunk in _partition(tasks, workers) if chunk]
-    results = _map_chunks(_compose_chunk, chunked, workers)
+    chunked = [(n, chunk) for chunk in _partition(tasks, chunk_map.workers) if chunk]
+    results = chunk_map(_compose_chunk, chunked)
     best: dict[int, str] = {}
     invalid = 0
     for part, bad in results:
@@ -289,11 +329,18 @@ def composition_closure(
     workers: int = 1,
 ) -> dict[int, ClassCatalog]:
     """Seed catalogs for orders 2..max_n, grown recursively."""
+    with _ChunkMap(workers) as chunk_map:
+        return _closure(max_n, kinds, chunk_map)
+
+
+def _closure(
+    max_n: int, kinds: Sequence[CompositionKind], chunk_map: _ChunkMap
+) -> dict[int, ClassCatalog]:
     if max_n < 2:
         raise ValueError("closure starts at order 2")
     catalogs: dict[int, ClassCatalog] = {2: base_catalog()}
     for n in range(3, max_n + 1):
-        catalogs[n] = enumerate_by_composition(n, catalogs, kinds, workers)
+        catalogs[n] = _compose_order(n, catalogs, kinds, chunk_map)
     return catalogs
 
 
@@ -427,14 +474,19 @@ def count_table(
         # Refuse before the smaller orders are computed, not after.
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
     rows: list[CountRow] = []
+    levels: list[set[int]] = []
     closure: dict[int, ClassCatalog] = {}
-    if "compose" in methods and max_n >= 2:
-        closure = composition_closure(max_n, workers=workers)
+    # One walk builds every oracle order, and one pool serves both methods.
+    with _ChunkMap(workers) as chunk_map:
+        if "oracle" in methods:
+            levels = _oracle_levels(max_n, chunk_map)
+        if "compose" in methods and max_n >= 2:
+            closure = _closure(max_n, ALL_KINDS, chunk_map)
     for n in range(1, max_n + 1):
         for name in methods:
             if name == "compose" and n < 2:
                 continue  # order 1 is the composition identity, not a product
-            catalog = enumerate_oracle(n, workers) if name == "oracle" else closure[n]
+            catalog = _catalog_from_packed(n, levels[n - 1]) if name == "oracle" else closure[n]
             exp = expected.get(n) if expected else None
             rows.append(
                 CountRow(

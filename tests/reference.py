@@ -1,10 +1,16 @@
-"""Cell-loop reference implementations of axiom validation and composition.
+"""Reference implementations of axiom validation, composition and canonical search.
 
-These are the straightforward tuple-of-tuples versions that the row-mask
-core replaced.  They read only `rel` and `labels` of their operands and
-share no code with `posetmat.core` or `posetmat.compose`, so tests can
-require the fast paths to agree with them cell for cell, label for label
-and witness for witness.
+`validate_axioms` and `compose` are the straightforward tuple-of-tuples
+versions that the row-mask core replaced.  They read only `rel` and
+`labels` of their operands and share no code with `posetmat.core` or
+`posetmat.compose`, so tests can require the fast paths to agree with
+them cell for cell, label for label and witness for witness.
+
+`_minimal_row_ints` is the canonical search that prunes only twins, with
+no automorphism pruning and rows rebuilt from the prefix at every node.
+It is exponential on symmetric posets without twins, but it is the search
+whose least bit-strings every recorded key was made with, so the pruned
+search in `posetmat.canon` must return exactly its rows.
 """
 from posetmat.core import ValidationReport
 
@@ -127,3 +133,58 @@ def compose(a, kind: str, i: int, b) -> tuple[Rows, tuple[str, ...], ValidationR
 
     rows = tuple(tuple(row) for row in out)
     return rows, provenance_labels(a, d, b), validate_axioms(rows)
+
+
+def _minimal_row_ints(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest output rows over all linear extensions; row ints are MSB=col 0."""
+    sentinel = 1 << (n + 1)
+    best = [sentinel] * n
+    chosen = [0] * n
+
+    def rec(k: int, used: int) -> None:
+        candidates = []
+        seen_twins = set()
+        for e in range(n):
+            if used >> e & 1:
+                continue
+            if down[e] & ~used:
+                continue
+            twin = (down[e], up[e])
+            if twin in seen_twins:
+                continue
+            seen_twins.add(twin)
+            row = 1 << (n - 1 - k)
+            de = down[e]
+            for j in range(k):
+                if de >> chosen[j] & 1:
+                    row |= 1 << (n - 1 - j)
+            candidates.append((row, e))
+        candidates.sort()
+        for row, e in candidates:
+            if row > best[k]:
+                break
+            if row < best[k]:
+                best[k] = row
+                for j in range(k + 1, n):
+                    best[j] = sentinel
+            chosen[k] = e
+            if k + 1 == n:
+                continue
+            rec(k + 1, used | 1 << e)
+
+    rec(0, 0)
+    return tuple(best)
+
+
+def packed_from_masks(n: int, row_masks) -> int:
+    """Canonical packed bit-string by the twin-only search above."""
+    down = tuple(row_masks[y] & ~(1 << y) for y in range(n))
+    up = tuple(
+        sum(1 << y for y in range(n) if y != z and row_masks[y] >> z & 1)
+        for z in range(n)
+    )
+    rows = _minimal_row_ints(n, down, up)
+    packed = 0
+    for row in rows:
+        packed = (packed << n) | row
+    return packed

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,9 +12,12 @@ from posetmat import (
     dual,
     normalize_linear_extension,
 )
+from posetmat.canon import packed_from_masks
+from posetmat.enumeration import iter_matrices
 from posetmat.generators import antichain, chain
 
-from conftest import brute_canonical_packed, iter_all_posets, poset_matrices
+import reference
+from conftest import brute_canonical_packed, close_down, iter_all_posets, poset_matrices
 
 
 def test_brute_force_agreement_small_orders():
@@ -106,3 +112,120 @@ def test_canonical_cache_is_bounded():
     from posetmat.canon import _canonical_packed
 
     assert isinstance(_canonical_packed.cache_info().maxsize, int)
+
+
+# Symmetric families and random posets, each as strict down-sets over
+# hidden elements 0..n-1, listed in a topological order.
+
+
+def disjoint_chains(k: int, length: int) -> list[int]:
+    down = []
+    for _ in range(k):
+        base = len(down)
+        down += [((1 << j) - 1) << base for j in range(length)]
+    return down
+
+
+def crown(k: int) -> list[int]:
+    """Minimal a_0..a_{k-1}; b_i above a_i and a_{i+1 mod k}."""
+    return [0] * k + [1 << i | 1 << (i + 1) % k for i in range(k)]
+
+
+def antichain_sum(a: int, b: int) -> list[int]:
+    """Every element of an a-antichain below every element of a b-antichain."""
+    return [0] * a + [(1 << a) - 1] * b
+
+
+def random_down(rng: random.Random, n: int, density: float) -> list[int]:
+    down: list[int] = []
+    for j in range(n):
+        raw = sum(1 << i for i in range(j) if rng.random() < density)
+        down.append(close_down(raw, down))
+    return down
+
+
+def relabelled_masks(down: list[int], rng: random.Random) -> tuple[int, ...]:
+    """Row masks of the poset with its elements placed in a random order.
+
+    The order need not be a linear extension: the search takes any labeling.
+    """
+    n = len(down)
+    where = list(range(n))
+    rng.shuffle(where)
+    masks = [0] * n
+    for e in range(n):
+        row = 1 << where[e]
+        for z in range(n):
+            if down[e] >> z & 1:
+                row |= 1 << where[z]
+        masks[where[e]] = row
+    return tuple(masks)
+
+
+def test_search_matches_reference_on_every_labelled_matrix():
+    cases = 0
+    for n in range(1, 7):
+        for masks in iter_matrices(n):
+            assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+            cases += 1
+    assert cases == 5_231
+
+
+REFERENCE_FAMILIES = (
+    [("2-chains", k, disjoint_chains(k, 2)) for k in range(1, 7)]
+    + [("3-chains", k, disjoint_chains(k, 3)) for k in range(1, 5)]
+    + [("crown", k, crown(k)) for k in range(2, 7)]
+    + [("antichain sum", a, antichain_sum(a, 6 - a)) for a in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, k, down", REFERENCE_FAMILIES, ids=[f"{name}-{k}" for name, k, _ in REFERENCE_FAMILIES]
+)
+def test_search_matches_reference_on_relabelled_families(name, k, down):
+    rng = random.Random(f"{name}-{k}")
+    n = len(down)
+    for _ in range(3):
+        masks = relabelled_masks(down, rng)
+        assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_search_matches_reference_on_random_posets(n):
+    rng = random.Random(n)
+    # Sparse posets of order 11 and 12 take the reference search up to a
+    # quarter of a second each, so they start at density 0.2.
+    densities = (0.1, 0.2, 0.35, 0.5) if n <= 10 else (0.2, 0.35, 0.5)
+    for density in densities:
+        for _ in range(3):
+            masks = relabelled_masks(random_down(rng, n, density), rng)
+            assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+
+
+# Seconds allowed for one canonical search on the stress family.  The
+# searches take at most a few tens of milliseconds; the twin-only search
+# needed about 4 s for eight 2-chains and grew about tenfold per chain.
+STRESS_BOUND_S = 2.0
+
+STRESS_FAMILIES = (
+    [("2-chains", k, disjoint_chains(k, 2)) for k in (8, 10)]
+    + [("3-chains", 6, disjoint_chains(6, 3))]
+    + [("antichain sum", 10, antichain_sum(10, 10))]
+    + [("crown", k, crown(k)) for k in range(4, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, k, down", STRESS_FAMILIES, ids=[f"{name}-{k}" for name, k, _ in STRESS_FAMILIES]
+)
+def test_symmetric_families_are_bounded_and_label_free(name, k, down):
+    rng = random.Random(f"stress-{name}-{k}")
+    n = len(down)
+    keys = set()
+    for _ in range(4):
+        masks = relabelled_masks(down, rng)
+        start = time.perf_counter()
+        keys.add(packed_from_masks(n, masks))
+        elapsed = time.perf_counter() - start
+        assert elapsed < STRESS_BOUND_S, f"{name} k={k}: {elapsed:.2f} s"
+    assert len(keys) == 1

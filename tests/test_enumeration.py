@@ -20,6 +20,7 @@ from posetmat import (
     parse_recipe,
     run_order5_table,
 )
+from posetmat import enumeration
 from posetmat.canon import packed_from_masks
 from posetmat.core import default_labels
 from posetmat.enumeration import (
@@ -289,3 +290,33 @@ def test_count_table_refuses_large_orders_before_any_work(method):
     with pytest.raises(ValueError, match=f"order must be 1..{MAX_ORACLE_ORDER}"):
         count_table(MAX_ORACLE_ORDER + 1, method=method)
     assert time.monotonic() - start < 1.0
+
+
+def test_count_table_rows_equal_per_order_oracle_counts():
+    rows = {r.order: (r.total, r.connected) for r in count_table(7).rows}
+    assert sorted(rows) == list(range(1, 8))
+    for n in range(1, 8):
+        catalog = enumerate_oracle(n)
+        assert rows[n] == (catalog.total, catalog.connected_count)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_oracle(6, workers=2),
+        lambda: composition_closure(5, workers=2),
+        lambda: count_table(5, method="both", workers=2),
+    ],
+    ids=["enumerate_oracle", "composition_closure", "count_table"],
+)
+def test_one_pool_serves_every_level_of_a_call(monkeypatch, call):
+    opened = []
+    real_pool = enumeration.multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(real_pool(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", counting_pool)
+    call()
+    assert len(opened) == 1
