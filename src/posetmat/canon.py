@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Masks, PosetMatrix, Rows, default_labels
+from .core import Masks, PosetMatrix, default_labels
 
 
 @dataclass(frozen=True, order=True)
@@ -78,13 +78,6 @@ class CanonicalKey:
         if packed >> (order * order):
             raise ValueError(f"bit-string too long for order {order}")
         return CanonicalKey(order, packed)
-
-    def rows(self) -> Rows:
-        n = self.order
-        return tuple(
-            tuple(self.packed >> (n * n - 1 - (y * n + z)) & 1 for z in range(n))
-            for y in range(n)
-        )
 
     def matrix(self) -> PosetMatrix:
         """The canonical representative itself, default labels."""

@@ -267,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_FAIL if err.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (MatrixParseError, RecipeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_FAIL
-    except (MalformedMatrixError,) as err:
+    except (MatrixParseError, RecipeError, MalformedMatrixError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_FAIL
     except InvalidPosetError as err:

@@ -9,13 +9,14 @@ Two independent routes:
   down-closed subset) of R.  So appending, to each representative of
   order k, one new top row per ideal yields a member of every class of
   order k+1, and every such child is a valid matrix.  Children are
-  deduplicated by canonical key.  `iter_matrices` keeps the exhaustive
-  walk over all labelled matrices as the reference the tests compare
-  this route against.
+  deduplicated by canonical key.
 
-* `enumerate_by_composition` closes the order-2 generators under the
-  three partial composition operations, recording one shortest recipe per
-  class reached.
+* `composition_closure` closes the order-2 generators C2 and I2 under the
+  three partial composition operations, order by order.  Each class of
+  order n reached by composing one class of order a with one of order
+  n+1-a keeps one shortest recipe, and the output of that composition is
+  its representative.  Representatives are composed from representatives,
+  so each one is exactly what its recipe rebuilds.
 
 Both routes partition their work (a level's parent representatives, or
 the composition tasks) into independent chunks whose per-chunk results
@@ -40,7 +41,7 @@ from .generators import (
     ORDER5_SELF_DUAL_ROWS,
     named_operands,
 )
-from .io import RecipeError, eval_recipe, parse_recipe, serialize_matrix
+from .io import eval_recipe, parse_recipe, serialize_matrix
 
 # Published counts of non-isomorphic posets (total, connected) by order.
 KNOWN_COUNTS: dict[int, tuple[int, int]] = {
@@ -55,12 +56,6 @@ KNOWN_COUNTS: dict[int, tuple[int, int]] = {
 }
 
 MAX_ORACLE_ORDER = 8
-
-ALL_KINDS: tuple[CompositionKind, ...] = (
-    CompositionKind.SQUARE,
-    CompositionKind.TRI_UP,
-    CompositionKind.TRI_DOWN,
-)
 
 
 class CatalogIntegrityError(Exception):
@@ -120,23 +115,6 @@ def _ideals(masks: Sequence[int], k: int) -> Iterator[int]:
             t &= t - 1
         if need & ~s == 0:
             yield s
-
-
-def _complete(prefix: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Extend a stack of rows to all full matrices of order n."""
-    k = len(prefix)
-    if k == n:
-        yield prefix
-        return
-    for s in _ideals(prefix, k):
-        yield from _complete(prefix + (s | 1 << k,), n)
-
-
-def iter_matrices(n: int) -> Iterator[tuple[int, ...]]:
-    """All valid lower-triangular matrices of order n, as row-mask tuples."""
-    if not 1 <= n <= MAX_ORACLE_ORDER:
-        raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
-    yield from _complete((1,), n)
 
 
 def _partition(items: list, workers: int) -> list[list]:
@@ -219,23 +197,29 @@ def _wrap(recipe: str) -> str:
     return f"({recipe})" if " " in recipe else recipe
 
 
+def _offer(
+    best: dict[int, tuple[str, PosetMatrix]], packed: int, recipe: str, matrix: PosetMatrix
+) -> None:
+    """Hold the shorter recipe for a class, ties to the lexicographically smaller."""
+    held = best.get(packed)
+    if held is None or (len(recipe), recipe) < (len(held[0]), held[0]):
+        best[packed] = (recipe, matrix)
+
+
 def _compose_chunk(
-    args: tuple[int, list[tuple[PosetMatrix, str, str, int, PosetMatrix, str]]]
-) -> tuple[dict[int, str], int]:
-    n, tasks = args
-    best: dict[int, str] = {}
+    tasks: list[tuple[PosetMatrix, str, CompositionKind, int, PosetMatrix, str]]
+) -> tuple[dict[int, tuple[str, PosetMatrix]], int]:
+    best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
-    for left, left_recipe, kind_value, i, right, right_recipe in tasks:
-        # Only the class is kept, so default labels spare building provenance ones.
-        result = compose(left, CompositionKind(kind_value), i, right, relabel=True)
+    for left, left_recipe, kind, i, right, right_recipe in tasks:
+        # Representatives carry default labels, so provenance ones are never built.
+        result = compose(left, kind, i, right, relabel=True)
         if not result.valid:
             invalid += 1
             continue
-        packed = canonical_form(result.poset()).packed
-        recipe = f"{_wrap(left_recipe)} {kind_value}@{i} {_wrap(right_recipe)}"
-        held = best.get(packed)
-        if held is None or (len(recipe), recipe) < (len(held), held):
-            best[packed] = recipe
+        matrix = result.poset()
+        recipe = f"{_wrap(left_recipe)} {kind.value}@{i} {_wrap(right_recipe)}"
+        _offer(best, canonical_form(matrix).packed, recipe, matrix)
     return best, invalid
 
 
@@ -249,11 +233,8 @@ def base_catalog() -> ClassCatalog:
     return catalog
 
 
-def enumerate_by_composition(
-    n: int,
-    seeds: Mapping[int, ClassCatalog],
-    kinds: Sequence[CompositionKind] = ALL_KINDS,
-    workers: int = 1,
+def _compose_order(
+    n: int, seeds: Mapping[int, ClassCatalog], chunk_map: _ChunkMap
 ) -> ClassCatalog:
     """Classes of order n reachable by one composition of seed classes.
 
@@ -261,86 +242,44 @@ def enumerate_by_composition(
     outputs are tallied in `invalid_outputs` and dropped.  Each class
     keeps the shortest recipe over every route that reached it (ties to
     the lexicographically smaller), so the result does not depend on
-    iteration order or worker count.
+    iteration order or worker count.  Recipe positions refer to the
+    operands' storage orders, so the representative is that route's own
+    output, not any other member of the class.
     """
-    with _ChunkMap(workers) as chunk_map:
-        return _compose_order(n, seeds, kinds, chunk_map)
-
-
-def _compose_order(
-    n: int,
-    seeds: Mapping[int, ClassCatalog],
-    kinds: Sequence[CompositionKind],
-    chunk_map: _ChunkMap,
-) -> ClassCatalog:
-    if n == 2:
-        return base_catalog()
-    if n < 2:
-        raise ValueError("composition enumeration starts at order 2")
-    tasks = []
-    for a_order in range(2, n):
-        b_order = n + 1 - a_order
-        if b_order < 2 or a_order not in seeds or b_order not in seeds:
-            continue
-        for a_entry in seeds[a_order].entries.values():
-            for b_entry in seeds[b_order].entries.values():
-                for kind in kinds:
-                    for i in range(1, a_order + 1):
-                        tasks.append(
-                            (
-                                a_entry.representative,
-                                a_entry.recipe or "?",
-                                kind.value,
-                                i,
-                                b_entry.representative,
-                                b_entry.recipe or "?",
-                            )
-                        )
-    chunked = [(n, chunk) for chunk in _partition(tasks, chunk_map.workers) if chunk]
-    results = chunk_map(_compose_chunk, chunked)
-    best: dict[int, str] = {}
+    tasks = [
+        (a.representative, a.recipe, kind, i, b.representative, b.recipe)
+        for a_order in range(2, n)
+        for a in seeds[a_order].entries.values()
+        for b in seeds[n + 1 - a_order].entries.values()
+        for kind in CompositionKind
+        for i in range(1, a_order + 1)
+    ]
+    chunks = [chunk for chunk in _partition(tasks, chunk_map.workers) if chunk]
+    best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
-    for part, bad in results:
+    for part, bad in chunk_map(_compose_chunk, chunks):
         invalid += bad
-        for packed, recipe in part.items():
-            held = best.get(packed)
-            if held is None or (len(recipe), recipe) < (len(held), held):
-                best[packed] = recipe
+        for packed, (recipe, matrix) in part.items():
+            _offer(best, packed, recipe, matrix)
     catalog = ClassCatalog(n, invalid_outputs=invalid)
     for packed in sorted(best):
-        key = CanonicalKey(n, packed)
-        # Re-run the winning recipe so the stored representative is exactly
-        # what the recipe text rebuilds; composition positions refer to the
-        # operands' own storage orders, so replaying any other member of
-        # the class could land elsewhere.  Seeds without recipes leave
-        # placeholders that cannot replay; those classes keep the
-        # canonical representative.
-        try:
-            rep = eval_recipe(parse_recipe(best[packed])).poset().relabelled()
-        except RecipeError:
-            rep = key.matrix()
-        catalog.entries[key] = CatalogEntry(rep, is_connected(rep), best[packed])
+        recipe, rep = best[packed]
+        catalog.entries[CanonicalKey(n, packed)] = CatalogEntry(rep, is_connected(rep), recipe)
     return catalog
 
 
-def composition_closure(
-    max_n: int,
-    kinds: Sequence[CompositionKind] = ALL_KINDS,
-    workers: int = 1,
-) -> dict[int, ClassCatalog]:
+def composition_closure(max_n: int, workers: int = 1) -> dict[int, ClassCatalog]:
     """Seed catalogs for orders 2..max_n, grown recursively."""
     with _ChunkMap(workers) as chunk_map:
-        return _closure(max_n, kinds, chunk_map)
+        return _closure(max_n, chunk_map)
 
 
-def _closure(
-    max_n: int, kinds: Sequence[CompositionKind], chunk_map: _ChunkMap
-) -> dict[int, ClassCatalog]:
+def _closure(max_n: int, chunk_map: _ChunkMap) -> dict[int, ClassCatalog]:
     if max_n < 2:
         raise ValueError("closure starts at order 2")
     catalogs: dict[int, ClassCatalog] = {2: base_catalog()}
     for n in range(3, max_n + 1):
-        catalogs[n] = _compose_order(n, catalogs, kinds, chunk_map)
+        catalogs[n] = _compose_order(n, catalogs, chunk_map)
     return catalogs
 
 
@@ -481,7 +420,7 @@ def count_table(
         if "oracle" in methods:
             levels = _oracle_levels(max_n, chunk_map)
         if "compose" in methods and max_n >= 2:
-            closure = _closure(max_n, ALL_KINDS, chunk_map)
+            closure = _closure(max_n, chunk_map)
     for n in range(1, max_n + 1):
         for name in methods:
             if name == "compose" and n < 2:

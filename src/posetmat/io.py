@@ -155,6 +155,10 @@ _TOKEN = re.compile(
 
 BUILTINS: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
 
+# An order-n closure recipe nests at most n-2 deep; deeper input is refused
+# before parsing or evaluating it can exhaust the interpreter's stack.
+MAX_RECIPE_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, tuple[int, int]]]:
     tokens = []
@@ -184,6 +188,7 @@ class _Parser:
         self.symbols = symbols
         self.at = 0
         self.length = length
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.at] if self.at < len(self.tokens) else None
@@ -207,10 +212,14 @@ class _Parser:
         if kind == "name":
             return RecipeRef(value, self.resolve(value, span), span)
         if kind == "paren" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_RECIPE_DEPTH:
+                raise RecipeError(f"recipe nests deeper than {MAX_RECIPE_DEPTH} levels", span)
             expr = self.expr()
             closer = self.take()
             if closer[0] != "paren" or closer[1] != ")":
                 raise RecipeError("expected ')'", closer[2])
+            self.depth -= 1
             return expr
         raise RecipeError(f"expected a name or '(', got {value!r}", span)
 
@@ -231,6 +240,7 @@ def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) ->
     """Parse a recipe expression, resolving every name immediately.
 
     The symbol table extends (and may shadow) the C2/I2 builtins.
+    Parentheses nested deeper than MAX_RECIPE_DEPTH raise RecipeError.
     """
     table = dict(BUILTINS)
     if symbols:

@@ -11,8 +11,15 @@ no automorphism pruning and rows rebuilt from the prefix at every node.
 It is exponential on symmetric posets without twins, but it is the search
 whose least bit-strings every recorded key was made with, so the pruned
 search in `posetmat.canon` must return exactly its rows.
+
+`iter_matrices` walks every labelled lower-triangular matrix of an order,
+the route the one-point extension oracle in `posetmat.enumeration`
+replaced; tests compare the oracle's classes against it.
 """
+from typing import Iterator
+
 from posetmat.core import ValidationReport
+from posetmat.enumeration import MAX_ORACLE_ORDER, _ideals
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -188,3 +195,20 @@ def packed_from_masks(n: int, row_masks) -> int:
     for row in rows:
         packed = (packed << n) | row
     return packed
+
+
+def _complete(prefix: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Extend a stack of rows to all full matrices of order n."""
+    k = len(prefix)
+    if k == n:
+        yield prefix
+        return
+    for s in _ideals(prefix, k):
+        yield from _complete(prefix + (s | 1 << k,), n)
+
+
+def iter_matrices(n: int) -> Iterator[tuple[int, ...]]:
+    """All valid lower-triangular matrices of order n, as row-mask tuples."""
+    if not 1 <= n <= MAX_ORACLE_ORDER:
+        raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
+    yield from _complete((1,), n)

@@ -8,6 +8,7 @@ import io
 
 import pytest
 
+import posetmat.io
 from posetmat import PosetMatrix, canonical_form
 from posetmat.cli import main
 from posetmat.io import parse_matrix
@@ -186,6 +187,19 @@ def test_eval_syntax_error_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "C2 sq@ C2")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_eval_refuses_deep_nesting_before_composing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("composed a recipe that should have been refused")
+
+    monkeypatch.setattr(posetmat.io, "compose", refuse)
+    recipe = "C2 sq@1 (" * 1000 + "C2 sq@1 C2" + ")" * 1000
+    code, out, err = run(capsys, "eval", recipe)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: recipe nests deeper than")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_invalid_top_level_result(tmp_path, capsys):

@@ -11,7 +11,6 @@ from posetmat import (
     count_table,
     dual,
     emit_catalog,
-    enumerate_by_composition,
     enumerate_oracle,
     eval_recipe,
     is_connected,
@@ -27,10 +26,10 @@ from posetmat.enumeration import (
     MAX_ORACLE_ORDER,
     _catalog_from_packed,
     base_catalog,
-    iter_matrices,
 )
 
 from conftest import iter_all_posets
+from reference import iter_matrices
 
 # Naturally-labeled matrix counts; the class counts live in KNOWN_COUNTS.
 LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -196,18 +195,35 @@ def test_recipe_choice_is_shortest_then_lexicographic():
         assert (len(recipe), recipe) <= (len(alternative), alternative)
 
 
-def test_enumerate_by_composition_rejects_tiny_orders():
+def test_closure_rejects_tiny_orders():
     with pytest.raises(ValueError):
-        enumerate_by_composition(1, {})
+        composition_closure(1)
 
 
-def test_enumerate_by_composition_workers_agree():
-    seeds = composition_closure(4)
-    solo = enumerate_by_composition(5, seeds)
-    duo = enumerate_by_composition(5, seeds, workers=2)
-    assert {k: e.recipe for k, e in solo.entries.items()} == {
-        k: e.recipe for k, e in duo.entries.items()
-    }
+def assert_representatives_are_what_their_recipes_rebuild(closure, orders):
+    for n in orders:
+        for key, entry in closure[n].entries.items():
+            replay = eval_recipe(parse_recipe(entry.recipe)).poset().relabelled()
+            assert entry.representative == replay, (key, entry.recipe)
+            assert entry.connected == is_connected(replay)
+
+
+def test_representatives_are_what_their_recipes_rebuild():
+    assert_representatives_are_what_their_recipes_rebuild(composition_closure(6), range(3, 7))
+
+
+@pytest.mark.slow
+def test_representatives_are_what_their_recipes_rebuild_order7():
+    assert_representatives_are_what_their_recipes_rebuild(composition_closure(7), [7])
+
+
+def test_closure_composes_without_replaying_recipes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure replayed a recipe")
+
+    monkeypatch.setattr(enumeration, "parse_recipe", refuse)
+    monkeypatch.setattr(enumeration, "eval_recipe", refuse)
+    assert composition_closure(5)[5].total == 63
 
 
 def test_order5_table_covers_all_connected_classes():

@@ -17,7 +17,7 @@ from posetmat import (
     to_dot,
 )
 from posetmat.generators import chain
-from posetmat.io import parse_candidate
+from posetmat.io import MAX_RECIPE_DEPTH, parse_candidate
 
 from conftest import poset_matrices
 
@@ -205,3 +205,19 @@ def test_recipe_canonical_agreement_with_direct_composition():
     out = eval_recipe(parse_recipe("B sq@4 I2", operands)).poset()
     direct = compose_square(operands["B"], 4, operands["I2"]).poset()
     assert canonical_form(out) == canonical_form(direct)
+
+
+def deeply_nested_recipe(depth):
+    return "C2 sq@1 (" * depth + "C2 sq@1 C2" + ")" * depth
+
+
+def test_recipe_nesting_is_bounded():
+    # the deepest accepted nesting still evaluates; each level adds one element
+    deepest = parse_recipe(deeply_nested_recipe(MAX_RECIPE_DEPTH))
+    assert eval_recipe(deepest).order == MAX_RECIPE_DEPTH + 3
+    text = deeply_nested_recipe(1000)
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(text)
+    start, end = info.value.span
+    assert text[start:end] == "("
+    assert text[:start].count("(") == MAX_RECIPE_DEPTH
