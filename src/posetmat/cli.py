@@ -107,12 +107,9 @@ def _cmd_sub(args) -> int:
     return OK
 
 
-def _cmd_compose(args) -> int:
-    kind = CompositionKind(args.op)
-    a = _load(args.left)
-    b = _load(args.right)
-    result = compose(a, kind, args.at, b, relabel=args.relabel)
-    print(serialize_matrix_result(result), end="")
+def _print_result(result) -> int:
+    """Write a composition output; an invalid one also reports to stderr and exits 1."""
+    print(serialize_matrix(result), end="")
     if not result.valid:
         print("invalid composition output:", file=sys.stderr)
         print(result.report.summary(), file=sys.stderr)
@@ -120,26 +117,21 @@ def _cmd_compose(args) -> int:
     return OK
 
 
-def serialize_matrix_result(result) -> str:
-    if result.valid:
-        return serialize_matrix(result.poset())
-    lines = [str(result.order), "labels: " + " ".join(result.labels)]
-    lines += [" ".join(str(c) for c in row) for row in result.rows]
-    return "\n".join(lines) + "\n"
+def _cmd_compose(args) -> int:
+    a = _load(args.left)
+    b = _load(args.right)
+    return _print_result(compose(a, CompositionKind(args.op), args.at, b, relabel=args.relabel))
 
 
 def _cmd_eval(args) -> int:
     symbols = {}
     if args.defs:
-        for path in sorted(Path(args.defs).glob("*.pm")):
+        defs = Path(args.defs)
+        if not defs.is_dir():
+            raise NotADirectoryError(f"--defs {args.defs}: not a directory")
+        for path in sorted(defs.glob("*.pm")):
             symbols[path.stem] = parse_matrix(path.read_text())
-    result = eval_recipe(parse_recipe(args.expr, symbols))
-    print(serialize_matrix_result(result), end="")
-    if not result.valid:
-        print("invalid composition output:", file=sys.stderr)
-        print(result.report.summary(), file=sys.stderr)
-        return DOMAIN_FAIL
-    return OK
+    return _print_result(eval_recipe(parse_recipe(args.expr, symbols)))
 
 
 def _cmd_canon(args) -> int:

@@ -36,9 +36,8 @@ flag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     InvalidPosetError,
@@ -60,19 +59,11 @@ class CompositionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CompositionResult:
-    """Assembled composition output (row masks) plus its validation outcome.
-
-    Labels are built by `make_labels` when read, so callers that only
-    need the relation never pay for them.
-    """
+    """Assembled composition output (row masks and labels) plus its validation outcome."""
 
     masks: Masks
     report: ValidationReport
-    make_labels: Callable[[], tuple[str, ...]] = field(repr=False, compare=False)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.make_labels()
+    labels: tuple[str, ...]
 
     @cached_property
     def rows(self) -> Rows:
@@ -144,7 +135,7 @@ def compose(
         out.append(row)
 
     masks = tuple(out)
-    labels = partial(default_labels, n + m - 1) if relabel else partial(_provenance_labels, a, d, b)
+    labels = default_labels(n + m - 1) if relabel else _provenance_labels(a, d, b)
     return CompositionResult(masks, validate_masks(masks), labels)
 
 

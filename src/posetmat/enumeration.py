@@ -21,14 +21,16 @@ Two independent routes:
 Both routes partition their work (a level's parent representatives, or
 the composition tasks) into independent chunks whose per-chunk results
 merge associatively, so the outcome does not depend on the worker count.
-With more than one worker, one process pool serves every level of a call.
+With more than one worker, one process pool, of at most one process per
+CPU, serves every level of a call.
 """
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .canon import CanonicalKey, canonical_form, packed_from_masks
 from .compose import CompositionKind, compose
@@ -99,29 +101,24 @@ class ClassCatalog:
         )
 
 
-def _ideals(masks: Sequence[int], k: int) -> Iterator[int]:
-    """Down-closed subsets of positions 0..k-1, ascending as bitmasks.
+def _ideals(masks: Sequence[int], k: int) -> list[int]:
+    """Down-closed subsets of positions 0..k-1, as bitmasks, built position by position.
 
-    masks[z] is the full row mask of z (diagonal bit included), so a
-    subset s is down-closed iff the union of masks over its members stays
-    inside s.
+    masks[z] is the full row mask of z (diagonal bit included).  Positions
+    are a linear extension, so the strict down-set of z lies in 0..z-1,
+    and z may join an ideal of those positions exactly when that down-set
+    lies inside it.
     """
-    for s in range(1 << k):
-        need = 0
-        t = s
-        while t:
-            z = (t & -t).bit_length() - 1
-            need |= masks[z]
-            t &= t - 1
-        if need & ~s == 0:
-            yield s
+    ideals = [0]
+    for z in range(k):
+        below = masks[z] ^ 1 << z
+        ideals += [s | 1 << z for s in ideals if below & ~s == 0]
+    return ideals
 
 
 def _partition(items: list, workers: int) -> list[list]:
-    chunks: list[list] = [[] for _ in range(max(1, workers))]
-    for idx, item in enumerate(items):
-        chunks[idx % len(chunks)].append(item)
-    return chunks
+    """Round-robin chunks of `items`, at most `workers` of them and none empty."""
+    return [items[w::workers] for w in range(min(workers, len(items)))]
 
 
 class _ChunkMap:
@@ -133,7 +130,9 @@ class _ChunkMap:
     """
 
     def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        self.workers = workers
         self._pool = None
 
     def __enter__(self) -> "_ChunkMap":
@@ -149,7 +148,8 @@ class _ChunkMap:
         if self.workers == 1 or len(tasks) <= 1:
             return [func(t) for t in tasks]
         if self._pool is None:
-            self._pool = multiprocessing.Pool(self.workers)
+            # Chunks follow `workers`, so outputs do not depend on the pool size.
+            self._pool = multiprocessing.Pool(min(self.workers, os.cpu_count() or 1))
         return self._pool.map(func, tasks)
 
 
@@ -179,8 +179,7 @@ def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[set[int]]:
     """Packed canonical keys of every class of orders 1..n, one set per order."""
     levels = [{1}]  # the one-element poset; its 1x1 matrix packs to 1
     for k in range(1, n):
-        parents = _partition(list(levels[-1]), chunk_map.workers)
-        tasks = [(k, chunk) for chunk in parents if chunk]
+        tasks = [(k, chunk) for chunk in _partition(list(levels[-1]), chunk_map.workers)]
         levels.append(set().union(*chunk_map(_extend_chunk, tasks)))
     return levels
 
@@ -254,10 +253,9 @@ def _compose_order(
         for kind in CompositionKind
         for i in range(1, a_order + 1)
     ]
-    chunks = [chunk for chunk in _partition(tasks, chunk_map.workers) if chunk]
     best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
-    for part, bad in chunk_map(_compose_chunk, chunks):
+    for part, bad in chunk_map(_compose_chunk, _partition(tasks, chunk_map.workers)):
         invalid += bad
         for packed, (recipe, matrix) in part.items():
             _offer(best, packed, recipe, matrix)
@@ -275,8 +273,8 @@ def composition_closure(max_n: int, workers: int = 1) -> dict[int, ClassCatalog]
 
 
 def _closure(max_n: int, chunk_map: _ChunkMap) -> dict[int, ClassCatalog]:
-    if max_n < 2:
-        raise ValueError("closure starts at order 2")
+    if not 2 <= max_n <= MAX_ORACLE_ORDER:
+        raise ValueError(f"closure order must be 2..{MAX_ORACLE_ORDER}, got {max_n}")
     catalogs: dict[int, ClassCatalog] = {2: base_catalog()}
     for n in range(3, max_n + 1):
         catalogs[n] = _compose_order(n, catalogs, chunk_map)
@@ -406,12 +404,10 @@ def count_table(
     """Class counts per order for the chosen method ("oracle", "compose", "both")."""
     if method not in ("oracle", "compose", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if max_n < 1:
-        raise ValueError("max order must be at least 1")
-    methods = ("oracle", "compose") if method == "both" else (method,)
-    if "oracle" in methods and max_n > MAX_ORACLE_ORDER:
+    if not 1 <= max_n <= MAX_ORACLE_ORDER:
         # Refuse before the smaller orders are computed, not after.
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
+    methods = ("oracle", "compose") if method == "both" else (method,)
     rows: list[CountRow] = []
     levels: list[set[int]] = []
     closure: dict[int, ClassCatalog] = {}

@@ -36,7 +36,6 @@ from .core import (
     default_labels,
     dual,
     hasse_edges,
-    validate_masks,
 )
 from .generators import C2, I2
 
@@ -102,8 +101,8 @@ def parse_matrix(text: str) -> PosetMatrix:
     return PosetMatrix.from_rows(rows, labels)
 
 
-def serialize_matrix(m: PosetMatrix) -> str:
-    """Canonical text for a matrix; round-trips through parse_matrix."""
+def serialize_matrix(m: PosetMatrix | CompositionResult) -> str:
+    """Canonical text for a matrix; round-trips through parse_matrix when it is valid."""
     lines = [str(m.order)]
     if m.labels != default_labels(m.order):
         lines.append("labels: " + " ".join(m.labels))
@@ -223,7 +222,7 @@ class _Parser:
             return expr
         raise RecipeError(f"expected a name or '(', got {value!r}", span)
 
-    def expr(self) -> RecipeExpr:
+    def expr(self) -> RecipeCall:
         left = self.operand()
         token = self.take()
         if token[0] != "oper":
@@ -236,11 +235,12 @@ class _Parser:
         )
 
 
-def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) -> RecipeExpr:
+def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) -> RecipeCall:
     """Parse a recipe expression, resolving every name immediately.
 
     The symbol table extends (and may shadow) the C2/I2 builtins.
-    Parentheses nested deeper than MAX_RECIPE_DEPTH raise RecipeError.
+    Parentheses nested deeper than MAX_RECIPE_DEPTH raise RecipeError,
+    and so does a bare name, even in parentheses: a recipe composes.
     """
     table = dict(BUILTINS)
     if symbols:
@@ -261,24 +261,14 @@ def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) ->
 def _eval(expr: RecipeExpr) -> PosetMatrix:
     if isinstance(expr, RecipeRef):
         return expr.matrix
-    left = _eval(expr.left)
-    right = _eval(expr.right)
-    if not 1 <= expr.position <= left.order:
-        raise RecipeError(
-            f"position {expr.position} out of range 1..{left.order}", expr.span
-        )
-    result = compose(left, expr.kind, expr.position, right)
     try:
-        return result.poset()
+        return eval_recipe(expr).poset()
     except InvalidPosetError as err:
         raise RecipeError(f"subexpression is not a valid poset: {err}", expr.span) from err
 
 
-def eval_recipe(expr: RecipeExpr) -> CompositionResult:
+def eval_recipe(expr: RecipeCall) -> CompositionResult:
     """Evaluate a parsed recipe; the top level keeps its validation report."""
-    if isinstance(expr, RecipeRef):
-        m = expr.matrix
-        return CompositionResult(m.masks, validate_masks(m.masks), lambda: m.labels)
     left = _eval(expr.left)
     right = _eval(expr.right)
     if not 1 <= expr.position <= left.order:

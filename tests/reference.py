@@ -12,14 +12,18 @@ It is exponential on symmetric posets without twins, but it is the search
 whose least bit-strings every recorded key was made with, so the pruned
 search in `posetmat.canon` must return exactly its rows.
 
-`iter_matrices` walks every labelled lower-triangular matrix of an order,
-the route the one-point extension oracle in `posetmat.enumeration`
-replaced; tests compare the oracle's classes against it.
+`ideals` finds the order ideals of a linear-extension prefix by testing
+all 2^k subsets, where `posetmat.enumeration._ideals` builds them
+position by position.  `iter_matrices` walks every labelled
+lower-triangular matrix of an order with it, the route the one-point
+extension oracle in `posetmat.enumeration` replaced; tests compare the
+oracle's classes against it, so that walk shares no ideal generator
+with the oracle.
 """
 from typing import Iterator
 
 from posetmat.core import ValidationReport
-from posetmat.enumeration import MAX_ORACLE_ORDER, _ideals
+from posetmat.enumeration import MAX_ORACLE_ORDER
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -197,13 +201,31 @@ def packed_from_masks(n: int, row_masks) -> int:
     return packed
 
 
+def ideals(masks, k: int) -> Iterator[int]:
+    """Down-closed subsets of positions 0..k-1, ascending as bitmasks.
+
+    masks[z] is the full row mask of z (diagonal bit included), so a
+    subset s is down-closed iff the union of masks over its members stays
+    inside s.
+    """
+    for s in range(1 << k):
+        need = 0
+        t = s
+        while t:
+            z = (t & -t).bit_length() - 1
+            need |= masks[z]
+            t &= t - 1
+        if need & ~s == 0:
+            yield s
+
+
 def _complete(prefix: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     """Extend a stack of rows to all full matrices of order n."""
     k = len(prefix)
     if k == n:
         yield prefix
         return
-    for s in _ideals(prefix, k):
+    for s in ideals(prefix, k):
         yield from _complete(prefix + (s | 1 << k,), n)
 
 

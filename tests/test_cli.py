@@ -9,9 +9,9 @@ import io
 import pytest
 
 import posetmat.io
-from posetmat import PosetMatrix, canonical_form
+from posetmat import CompositionKind, PosetMatrix, canonical_form, chain, compose
 from posetmat.cli import main
-from posetmat.io import parse_matrix
+from posetmat.io import parse_candidate, parse_matrix
 
 CHAIN2 = "2\n1 0\n1 1\n"
 CHAIN3 = "3\n1 0 0\n1 1 0\n1 1 1\n"
@@ -142,6 +142,20 @@ def test_compose_invalid_output_goes_to_stderr(tmp_path, capsys):
     assert "transitive: FAIL" in err
 
 
+def test_compose_relabel_invalid_output_omits_default_labels(tmp_path, capsys):
+    left = put(tmp_path, "a.pm", CHAIN4)
+    right = put(tmp_path, "b.pm", CHAIN2)
+    code, out, err = run(
+        capsys, "compose", left, right, "--op", "up", "--at", "3", "--relabel"
+    )
+    assert code == 1
+    assert out.startswith("5\n1 0 0 0 0\n")
+    assert "labels:" not in out
+    rows = compose(chain(4), CompositionKind.TRI_UP, 3, chain(2)).rows
+    assert parse_candidate(out) == (rows, None)
+    assert "invalid composition output:" in err
+
+
 def test_compose_position_out_of_range_is_usage(tmp_path, capsys):
     left = put(tmp_path, "a.pm", CHAIN2)
     right = put(tmp_path, "b.pm", CHAIN2)
@@ -175,6 +189,14 @@ def test_eval_star_takes_the_dual_of_a_defined_name(tmp_path, capsys):
     # dual of the vee has a unique minimum, so position 1 is its bottom;
     # replacing it with a chain leaves two tops above a 2-chain
     assert result.rel == ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1))
+
+
+def test_eval_defs_must_be_a_directory(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, "eval", "--defs", str(missing), "X sq@1 C2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --defs {missing}: not a directory\n"
 
 
 def test_eval_unknown_name_is_usage_error(capsys):
@@ -295,6 +317,14 @@ def test_count_beyond_the_oracle_bound_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "order must be 1..8" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(capsys, "count", "--max-order", "3", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: workers must be at least 1, got {workers}\n"
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

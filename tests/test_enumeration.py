@@ -25,11 +25,12 @@ from posetmat.core import default_labels
 from posetmat.enumeration import (
     MAX_ORACLE_ORDER,
     _catalog_from_packed,
+    _ideals,
     base_catalog,
 )
 
 from conftest import iter_all_posets
-from reference import iter_matrices
+from reference import ideals, iter_matrices
 
 # Naturally-labeled matrix counts; the class counts live in KNOWN_COUNTS.
 LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -76,6 +77,14 @@ def test_oracle_representatives_are_canonical_and_valid():
 def test_oracle_entries_sorted_by_key():
     keys = list(enumerate_oracle(5).entries)
     assert keys == sorted(keys)
+
+
+def test_ideals_by_construction_match_the_subset_filter():
+    assert _ideals((), 0) == [0]
+    for n in range(1, 8):
+        for key in enumerate_oracle(n).entries:
+            masks = key.matrix().masks
+            assert sorted(_ideals(masks, n)) == list(ideals(masks, n))
 
 
 def test_oracle_worker_counts_agree():
@@ -200,6 +209,13 @@ def test_closure_rejects_tiny_orders():
         composition_closure(1)
 
 
+def test_closure_refuses_large_orders_before_any_work():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_ORACLE_ORDER}"):
+        composition_closure(MAX_ORACLE_ORDER + 1)
+    assert time.monotonic() - start < 1.0
+
+
 def assert_representatives_are_what_their_recipes_rebuild(closure, orders):
     for n in orders:
         for key, entry in closure[n].entries.items():
@@ -300,7 +316,7 @@ def test_count_table_render_is_stable():
     assert one == two
 
 
-@pytest.mark.parametrize("method", ["oracle", "both"])
+@pytest.mark.parametrize("method", ["oracle", "compose", "both"])
 def test_count_table_refuses_large_orders_before_any_work(method):
     start = time.monotonic()
     with pytest.raises(ValueError, match=f"order must be 1..{MAX_ORACLE_ORDER}"):
@@ -336,3 +352,46 @@ def test_one_pool_serves_every_level_of_a_call(monkeypatch, call):
     monkeypatch.setattr(enumeration.multiprocessing, "Pool", counting_pool)
     call()
     assert len(opened) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: enumerate_oracle(3, workers=w),
+        lambda w: composition_closure(3, workers=w),
+        lambda w: count_table(3, method="both", workers=w),
+    ],
+    ids=["enumerate_oracle", "composition_closure", "count_table"],
+)
+def test_workers_below_one_are_refused(call, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        call(workers)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, size", [(10_000, 3, 3), (2, 3, 2), (10_000, None, 1)]
+)
+def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, workers, cpus, size):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested size and maps in this process; starts no workers."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    render = count_table(5, method="both", expected=KNOWN_COUNTS, workers=workers).render()
+    assert sizes == [size]
+    assert render == count_table(5, method="both", expected=KNOWN_COUNTS).render()
