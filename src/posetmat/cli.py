@@ -146,42 +146,33 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    status = OK
     catalogs = {}
     if args.method in ("oracle", "both"):
         catalogs["oracle"] = enumerate_oracle(args.order, args.workers)
     if args.method in ("compose", "both"):
-        closure = composition_closure(args.order, workers=args.workers)
-        catalogs["compose"] = closure[args.order]
+        catalogs["compose"] = composition_closure(args.order, args.workers)[args.order]
+    if args.connected:
+        catalogs = {name: c.restricted_to_connected() for name, c in catalogs.items()}
     for name, catalog in catalogs.items():
-        shown = catalog.restricted_to_connected() if args.connected else catalog
-        line = f"{name}: {shown.total} classes of order {args.order}"
+        line = f"{name}: {catalog.total} classes of order {args.order}"
         if not args.connected:
             line += f" ({catalog.connected_count} connected)"
-        if name == "compose" and catalog.invalid_outputs:
+        if catalog.invalid_outputs:
             line += f" [{catalog.invalid_outputs} invalid outputs dropped]"
         print(line)
+    status = OK
     if args.method == "both":
-        a = catalogs["oracle"]
-        b = catalogs["compose"]
-        if args.connected:
-            missing = a.connected_keys() - b.connected_keys()
-            extra = b.connected_keys() - a.connected_keys()
-        else:
-            missing = a.keys() - b.keys()
-            extra = b.keys() - a.keys()
-        if missing or extra:
-            status = DOMAIN_FAIL
-            for key in sorted(missing):
-                print(f"missing from compose: {key.render()}")
-            for key in sorted(extra):
-                print(f"not found by oracle: {key.render()}")
-        else:
+        oracle, closure = catalogs["oracle"].keys(), catalogs["compose"].keys()
+        for key in sorted(oracle - closure):
+            print(f"missing from compose: {key.render()}")
+        for key in sorted(closure - oracle):
+            print(f"not found by oracle: {key.render()}")
+        if oracle == closure:
             print("methods agree")
+        else:
+            status = DOMAIN_FAIL
     if args.emit:
-        source = catalogs.get("oracle") or catalogs["compose"]
-        shown = source.restricted_to_connected() if args.connected else source
-        emit_catalog(shown, args.emit)
+        emit_catalog(catalogs.get("oracle") or catalogs["compose"], args.emit)
         print(f"catalog written to {args.emit}")
     return status
 

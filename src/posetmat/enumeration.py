@@ -18,8 +18,8 @@ Two independent routes:
   its representative.  Representatives are composed from representatives,
   so each one is exactly what its recipe rebuilds.
 
-Both routes partition their work (a level's parent representatives, or
-the composition tasks) into independent chunks whose per-chunk results
+Both routes split their work (a level's parent representatives, or the
+pairs of operand classes) into independent chunks whose per-chunk results
 merge associatively, so the outcome does not depend on the worker count.
 With more than one worker, one process pool, of at most one process per
 CPU, serves every level of a call.
@@ -116,15 +116,13 @@ def _ideals(masks: Sequence[int], k: int) -> list[int]:
     return ideals
 
 
-def _partition(items: list, workers: int) -> list[list]:
-    """Round-robin chunks of `items`, at most `workers` of them and none empty."""
-    return [items[w::workers] for w in range(min(workers, len(items)))]
-
-
 class _ChunkMap:
-    """Maps a function over task chunks, in one pool shared by every map of a call.
+    """Maps a function over chunks of its items, in one pool shared by every map of a call.
 
-    The pool opens at the first map with more than one chunk and closes
+    `chunk_map(func, items, *shared)` calls `func((chunk, *shared))` once per
+    round-robin chunk `items[w::workers]`, of which there are at most
+    `workers` and none empty.  With at most one chunk it runs in this
+    process.  Otherwise the pool opens, at the first such map, and closes
     when the `with` block ends, so a call that maps level after level
     starts its worker processes once.
     """
@@ -144,8 +142,9 @@ class _ChunkMap:
             self._pool.join()
             self._pool = None
 
-    def __call__(self, func, tasks: list) -> list:
-        if self.workers == 1 or len(tasks) <= 1:
+    def __call__(self, func, items: list, *shared) -> list:
+        tasks = [(items[w::self.workers], *shared) for w in range(min(self.workers, len(items)))]
+        if len(tasks) <= 1:
             return [func(t) for t in tasks]
         if self._pool is None:
             # Chunks follow `workers`, so outputs do not depend on the pool size.
@@ -153,18 +152,24 @@ class _ChunkMap:
         return self._pool.map(func, tasks)
 
 
+def _catalog(
+    order: int, found: Mapping[int, tuple[str | None, PosetMatrix]], invalid: int = 0
+) -> ClassCatalog:
+    """The classes of one order from packed key -> (recipe, representative), sorted by key."""
+    entries = {
+        CanonicalKey(order, packed): CatalogEntry(rep, is_connected(rep), recipe)
+        for packed, (recipe, rep) in sorted(found.items())
+    }
+    return ClassCatalog(order, entries, invalid)
+
+
 def _catalog_from_packed(order: int, packed_keys: Iterable[int]) -> ClassCatalog:
-    catalog = ClassCatalog(order)
-    for packed in sorted(set(packed_keys)):
-        key = CanonicalKey(order, packed)
-        rep = key.matrix()
-        catalog.entries[key] = CatalogEntry(rep, is_connected(rep))
-    return catalog
+    return _catalog(order, {p: (None, CanonicalKey(order, p).matrix()) for p in packed_keys})
 
 
-def _extend_chunk(args: tuple[int, list[int]]) -> set[int]:
+def _extend_chunk(args: tuple[list[int], int]) -> set[int]:
     """Canonical keys of order k+1 reached by topping each order-k class with one ideal."""
-    k, parents = args
+    parents, k = args
     found: set[int] = set()
     for packed in parents:
         # A canonical representative is stored in a linear extension (see
@@ -179,8 +184,7 @@ def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[set[int]]:
     """Packed canonical keys of every class of orders 1..n, one set per order."""
     levels = [{1}]  # the one-element poset; its 1x1 matrix packs to 1
     for k in range(1, n):
-        tasks = [(k, chunk) for chunk in _partition(list(levels[-1]), chunk_map.workers)]
-        levels.append(set().union(*chunk_map(_extend_chunk, tasks)))
+        levels.append(set().union(*chunk_map(_extend_chunk, list(levels[-1]), k)))
     return levels
 
 
@@ -206,30 +210,29 @@ def _offer(
 
 
 def _compose_chunk(
-    tasks: list[tuple[PosetMatrix, str, CompositionKind, int, PosetMatrix, str]]
+    args: tuple[list[tuple[CatalogEntry, CatalogEntry]]]
 ) -> tuple[dict[int, tuple[str, PosetMatrix]], int]:
+    """Every composition `a kind@i b` of the chunk's operand pairs, best recipe per class."""
+    (pairs,) = args
     best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
-    for left, left_recipe, kind, i, right, right_recipe in tasks:
-        # Representatives carry default labels, so provenance ones are never built.
-        result = compose(left, kind, i, right, relabel=True)
-        if not result.valid:
-            invalid += 1
-            continue
-        matrix = result.poset()
-        recipe = f"{_wrap(left_recipe)} {kind.value}@{i} {_wrap(right_recipe)}"
-        _offer(best, canonical_form(matrix).packed, recipe, matrix)
+    for a, b in pairs:
+        for kind in CompositionKind:
+            for i in range(1, a.representative.order + 1):
+                # Representatives carry default labels, so provenance ones are never built.
+                result = compose(a.representative, kind, i, b.representative, relabel=True)
+                if not result.valid:
+                    invalid += 1
+                    continue
+                matrix = result.poset()
+                recipe = f"{_wrap(a.recipe)} {kind.value}@{i} {_wrap(b.recipe)}"
+                _offer(best, canonical_form(matrix).packed, recipe, matrix)
     return best, invalid
 
 
 def base_catalog() -> ClassCatalog:
-    """The order-2 generators as a seed catalog."""
-    catalog = ClassCatalog(2)
-    for matrix, recipe in ((C2, "C2"), (I2, "I2")):
-        key = canonical_form(matrix)
-        catalog.entries[key] = CatalogEntry(key.matrix(), is_connected(matrix), recipe)
-    catalog.entries = dict(sorted(catalog.entries.items()))
-    return catalog
+    """The order-2 generators as a seed catalog; each is its own canonical representative."""
+    return _catalog(2, {canonical_form(m).packed: (r, m) for m, r in ((C2, "C2"), (I2, "I2"))})
 
 
 def _compose_order(
@@ -245,25 +248,19 @@ def _compose_order(
     operands' storage orders, so the representative is that route's own
     output, not any other member of the class.
     """
-    tasks = [
-        (a.representative, a.recipe, kind, i, b.representative, b.recipe)
+    pairs = [
+        (a, b)
         for a_order in range(2, n)
         for a in seeds[a_order].entries.values()
         for b in seeds[n + 1 - a_order].entries.values()
-        for kind in CompositionKind
-        for i in range(1, a_order + 1)
     ]
     best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
-    for part, bad in chunk_map(_compose_chunk, _partition(tasks, chunk_map.workers)):
+    for part, bad in chunk_map(_compose_chunk, pairs):
         invalid += bad
         for packed, (recipe, matrix) in part.items():
             _offer(best, packed, recipe, matrix)
-    catalog = ClassCatalog(n, invalid_outputs=invalid)
-    for packed in sorted(best):
-        recipe, rep = best[packed]
-        catalog.entries[CanonicalKey(n, packed)] = CatalogEntry(rep, is_connected(rep), recipe)
-    return catalog
+    return _catalog(n, best, invalid)
 
 
 def composition_closure(max_n: int, workers: int = 1) -> dict[int, ClassCatalog]:
@@ -407,31 +404,20 @@ def count_table(
     if not 1 <= max_n <= MAX_ORACLE_ORDER:
         # Refuse before the smaller orders are computed, not after.
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
-    methods = ("oracle", "compose") if method == "both" else (method,)
-    rows: list[CountRow] = []
-    levels: list[set[int]] = []
-    closure: dict[int, ClassCatalog] = {}
+    routes: dict[str, Mapping[int, ClassCatalog]] = {}
     # One walk builds every oracle order, and one pool serves both methods.
+    # The closure refuses order 1, the composition identity, not a product.
     with _ChunkMap(workers) as chunk_map:
-        if "oracle" in methods:
+        if method != "compose":
             levels = _oracle_levels(max_n, chunk_map)
-        if "compose" in methods and max_n >= 2:
-            closure = _closure(max_n, chunk_map)
-    for n in range(1, max_n + 1):
-        for name in methods:
-            if name == "compose" and n < 2:
-                continue  # order 1 is the composition identity, not a product
-            catalog = _catalog_from_packed(n, levels[n - 1]) if name == "oracle" else closure[n]
-            exp = expected.get(n) if expected else None
-            rows.append(
-                CountRow(
-                    n,
-                    name,
-                    catalog.total,
-                    catalog.connected_count,
-                    exp[0] if exp else None,
-                    exp[1] if exp else None,
-                )
-            )
+            routes["oracle"] = {n: _catalog_from_packed(n, keys) for n, keys in enumerate(levels, 1)}
+        if method != "oracle":
+            routes["compose"] = _closure(max_n, chunk_map)
+    known = expected or {}
+    rows = [
+        CountRow(n, name, c.total, c.connected_count, *known.get(n, (None, None)))
+        for name, route in routes.items()
+        for n, c in route.items()
+    ]
     rows.sort(key=lambda r: (r.order, r.method))
     return CountTable(tuple(rows))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .compose import CompositionKind, CompositionResult, compose
 from .core import (
@@ -131,25 +131,24 @@ class RecipeError(Exception):
 
 
 @dataclass(frozen=True)
-class RecipeRef:
-    name: str
-    matrix: PosetMatrix
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class RecipeCall:
-    left: "RecipeExpr"
+    """One composition of a parsed recipe.
+
+    Each operand is the matrix its name resolved to, or a nested call.
+    `span` runs from the left operand's text to the right one's; a nested
+    call's span leaves out its parentheses.
+    """
+
+    left: PosetMatrix | RecipeCall
     kind: CompositionKind
     position: int
-    right: "RecipeExpr"
+    right: PosetMatrix | RecipeCall
     span: tuple[int, int]
 
 
-RecipeExpr = Union[RecipeRef, RecipeCall]
-
 _TOKEN = re.compile(
-    r"\s*(?:(?P<oper>(sq|up|dn)@(\d+))|(?P<name>[A-Za-z_][A-Za-z0-9_]*\*?)|(?P<paren>[()]))"
+    r"\s*(?:(?P<oper>(?:sq|up|dn)@\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*\*?)|(?P<paren>[()])"
+    r"|(?P<bad>\S))"
 )
 
 BUILTINS: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
@@ -161,23 +160,12 @@ MAX_RECIPE_DEPTH = 100
 
 def _tokenize(text: str) -> list[tuple[str, str, tuple[int, int]]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise RecipeError(f"unrecognized input {stripped[:10]!r}", (at, at + 1))
-        span = (match.end() - len(match.group().lstrip()), match.end())
-        if match.group("oper"):
-            tokens.append(("oper", match.group("oper"), span))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), span))
-        else:
-            tokens.append(("paren", match.group("paren"), span))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        at = match.start(kind)
+        if kind == "bad":
+            raise RecipeError(f"unrecognized input {text[at:at + 10]!r}", (at, at + 1))
+        tokens.append((kind, match.group(kind), (at, match.end())))
     return tokens
 
 
@@ -206,10 +194,10 @@ class _Parser:
             return dual(self.symbols[name[:-1]])
         raise RecipeError(f"unknown name {name!r}", span)
 
-    def operand(self) -> RecipeExpr:
+    def operand(self) -> tuple[PosetMatrix | RecipeCall, tuple[int, int]]:
         kind, value, span = self.take()
         if kind == "name":
-            return RecipeRef(value, self.resolve(value, span), span)
+            return self.resolve(value, span), span
         if kind == "paren" and value == "(":
             self.depth += 1
             if self.depth > MAX_RECIPE_DEPTH:
@@ -219,20 +207,17 @@ class _Parser:
             if closer[0] != "paren" or closer[1] != ")":
                 raise RecipeError("expected ')'", closer[2])
             self.depth -= 1
-            return expr
+            return expr, expr.span
         raise RecipeError(f"expected a name or '(', got {value!r}", span)
 
     def expr(self) -> RecipeCall:
-        left = self.operand()
+        left, (start, _) = self.operand()
         token = self.take()
         if token[0] != "oper":
             raise RecipeError(f"expected an operation, got {token[1]!r}", token[2])
         op, _, pos_text = token[1].partition("@")
-        right = self.operand()
-        return RecipeCall(
-            left, CompositionKind(op), int(pos_text), right,
-            (left.span[0], right.span[1]),
-        )
+        right, (_, end) = self.operand()
+        return RecipeCall(left, CompositionKind(op), int(pos_text), right, (start, end))
 
 
 def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) -> RecipeCall:
@@ -258,9 +243,9 @@ def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) ->
     return expr
 
 
-def _eval(expr: RecipeExpr) -> PosetMatrix:
-    if isinstance(expr, RecipeRef):
-        return expr.matrix
+def _eval(expr: PosetMatrix | RecipeCall) -> PosetMatrix:
+    if isinstance(expr, PosetMatrix):
+        return expr
     try:
         return eval_recipe(expr).poset()
     except InvalidPosetError as err:

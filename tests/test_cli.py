@@ -281,6 +281,20 @@ def test_enumerate_both_methods_agree(capsys):
     assert "methods agree" in out
 
 
+def test_enumerate_both_connected_lists_what_compose_misses(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--order", "6", "--method", "both", "--connected"
+    )
+    assert code == 1
+    assert out == (
+        "oracle: 238 classes of order 6\n"
+        "compose: 235 classes of order 6 [62 invalid outputs dropped]\n"
+        "missing from compose: 6:81021cab1\n"
+        "missing from compose: 6:810624db9\n"
+        "missing from compose: 6:810634ebd\n"
+    )
+
+
 def test_enumerate_emit_writes_a_catalog(tmp_path, capsys):
     target = tmp_path / "cat"
     code, out, err = run(
@@ -317,6 +331,20 @@ def test_count_beyond_the_oracle_bound_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "order must be 1..8" in err
+
+
+@pytest.mark.parametrize("method", ["compose", "both"])
+def test_count_order_one_refuses_the_closure(capsys, method):
+    code, out, err = run(capsys, "count", "--max-order", "1", "--method", method, "--expect")
+    assert code == 2
+    assert out == ""
+    assert err == "error: closure order must be 2..8, got 1\n"
+
+
+def test_count_order_one_prints_the_oracle_row(capsys):
+    code, out, err = run(capsys, "count", "--max-order", "1", "--expect")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["    1  oracle        1          1         1/1  yes"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

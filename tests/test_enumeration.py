@@ -324,6 +324,31 @@ def test_count_table_refuses_large_orders_before_any_work(method):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("method", ["compose", "both"])
+def test_count_table_refuses_order_one_for_the_closure(method):
+    # Order 1 is the composition identity, not a product.  A table with no
+    # closure row would pass `all_match` without comparing anything.
+    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_ORACLE_ORDER}, got 1"):
+        count_table(1, method=method)
+
+
+def test_known_totals_are_the_euler_transform_of_the_connected_counts():
+    # A poset is a multiset of connected components, so with c_k the sum of
+    # d * connected[d] over the divisors d of k, n * total[n] is the sum of
+    # c_k * total[n - k] for k = 1..n (total[0] = 1).
+    orders = sorted(KNOWN_COUNTS)
+    assert orders == list(range(1, len(orders) + 1))
+    connected = {n: KNOWN_COUNTS[n][1] for n in orders}
+    c = {k: sum(d * connected[d] for d in range(1, k + 1) if k % d == 0) for k in orders}
+    totals = [1]
+    for n in orders:
+        weighted = sum(c[k] * totals[n - k] for k in range(1, n + 1))
+        assert weighted % n == 0
+        totals.append(weighted // n)
+    assert totals[1:] == [KNOWN_COUNTS[n][0] for n in orders]
+    assert totals[1:9] == [1, 2, 5, 16, 63, 318, 2045, 16999]
+
+
 def test_count_table_rows_equal_per_order_oracle_counts():
     rows = {r.order: (r.total, r.connected) for r in count_table(7).rows}
     assert sorted(rows) == list(range(1, 8))

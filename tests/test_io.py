@@ -221,3 +221,56 @@ def test_recipe_nesting_is_bounded():
     start, end = info.value.span
     assert text[start:end] == "("
     assert text[:start].count("(") == MAX_RECIPE_DEPTH
+
+
+INVALID_K4_UP3 = (
+    "subexpression is not a valid poset: composition output violates the order axioms:\n"
+    "reflexive: ok; antisymmetric: ok; transitive: FAIL; lower-triangular: yes\n"
+    "  transitive violated at (2, 1, 0)"
+)
+
+RECIPE_ERRORS = [
+    ("C2 sq@1 MYSTERY", "unknown name 'MYSTERY'", (8, 15)),
+    ("MYSTERY* up@1 C2", "unknown name 'MYSTERY*'", (0, 8)),
+    ("C2 sq@1 C2 sq@2 C2", "trailing input 'sq@2'; nest with parentheses", (11, 15)),
+    ("(C2 sq@1 C2) up@1 C2 dn@1 C2", "trailing input 'dn@1'; nest with parentheses", (21, 25)),
+    ("", "empty recipe", (0, 0)),
+    ("   ", "empty recipe", (0, 3)),
+    ("\t\n", "empty recipe", (0, 2)),
+    ("C2 sq@ C2", "unrecognized input '@ C2'", (5, 6)),
+    ("sq@", "unrecognized input '@'", (2, 3)),
+    ("C2 xx@1 C2", "unrecognized input '@1 C2'", (5, 6)),
+    ("C2", "unexpected end of recipe", (2, 2)),
+    (" C2 ", "unexpected end of recipe", (4, 4)),
+    ("(C2)", "expected an operation, got ')'", (3, 4)),
+    ("((C2))", "expected an operation, got ')'", (4, 5)),
+    ("(C2 sq@1 C2", "unexpected end of recipe", (11, 11)),
+    ("C2 sq@1 (C2 sq@1 C2", "unexpected end of recipe", (19, 19)),
+    ("C2 sq@1 C2)", "trailing input ')'; nest with parentheses", (10, 11)),
+    ("C2 sq@1 (C2 dn@2 C2))", "trailing input ')'; nest with parentheses", (20, 21)),
+    (")", "expected a name or '(', got ')'", (0, 1)),
+    ("é", "unrecognized input 'é'", (0, 1)),
+    ("C2 sq@1 é", "unrecognized input 'é'", (8, 9)),
+    ("$ ", "unrecognized input '$ '", (0, 1)),
+    ("C2 $ ", "unrecognized input '$ '", (3, 4)),
+    ("#abcdefghijklmnop", "unrecognized input '#abcdefghi'", (0, 1)),
+    ("C2 sq@1 #abcdefghijklmnop", "unrecognized input '#abcdefghi'", (8, 9)),
+    ("C2 sq@0 C2", "position 0 out of range 1..2", (0, 10)),
+    ("C2 sq@3 C2", "position 3 out of range 1..2", (0, 10)),
+    ("C2 sq@1 (C2 up@5 C2)", "position 5 out of range 1..2", (9, 19)),
+    ("(C2 sq@1 C2) sq@5 C2", "position 5 out of range 1..3", (1, 20)),
+    ("(K4 up@3 C2) sq@1 C2", INVALID_K4_UP3, (1, 11)),
+    ("C2 sq@1 (K4 up@3 C2)", INVALID_K4_UP3, (9, 19)),
+    ("sq@1 C2", "expected a name or '(', got 'sq@1'", (0, 4)),
+    ("C2 sq@1", "unexpected end of recipe", (7, 7)),
+    ("C2 C2", "expected an operation, got 'C2'", (3, 5)),
+    ("()", "expected a name or '(', got ')'", (1, 2)),
+]
+
+
+@pytest.mark.parametrize("text, message, span", RECIPE_ERRORS)
+def test_recipe_error_messages_and_spans(text, message, span):
+    with pytest.raises(RecipeError) as info:
+        eval_recipe(parse_recipe(text, {"K4": chain(4)}))
+    assert str(info.value) == f"{message} (at {span[0]}..{span[1]})"
+    assert info.value.span == span
