@@ -26,9 +26,11 @@ the least string:
   the child held[d], searched already, onto chosen[d], where the leaves
   part.  So the rest of the subtree under chosen[d] holds nothing new,
   and the search unwinds straight to depth d.
-* At each node it keeps the recorded automorphisms that fix the node's
-  prefix pointwise and skips any child in the orbit, under them, of a
-  child searched already at that node.
+* At each node it skips any child in the orbit, under the automorphisms
+  found below that node, of a child searched already there.  Those fix
+  the node's prefix chosen[:k] pointwise: gamma fixes chosen[:d], and
+  when d < k every node deeper than d returns at once, before any orbit
+  step, so a node at depth k only ever steps with gammas of d >= k.
 
 Interchangeable twins (equal strict down- and up-sets) are the cheap
 special case: swapping two of them is an automorphism fixing everything
@@ -44,6 +46,7 @@ the prefix.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -70,14 +73,13 @@ class CanonicalKey:
 
     @staticmethod
     def parse(text: str) -> "CanonicalKey":
-        order_part, _, hex_part = text.partition(":")
-        order = int(order_part)
-        packed = int(hex_part, 16)
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
-        if packed >> (order * order):
-            raise ValueError(f"bit-string too long for order {order}")
-        return CanonicalKey(order, packed)
+        """Inverse of `render`, which is the only spelling it accepts."""
+        match = re.fullmatch(r"([1-9][0-9]*):([0-9a-f]+)", text)
+        if match:
+            order, packed = int(match[1]), int(match[2], 16)
+            if len(match[2]) == (order * order + 3) // 4 and not packed >> (order * order):
+                return CanonicalKey(order, packed)
+        raise ValueError(f"not a canonical key: {text!r}")
 
     def matrix(self) -> PosetMatrix:
         """The canonical representative itself, default labels."""
@@ -117,11 +119,11 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
     autos: list[list[int]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
 
-    def rec(k: int, used: int, fixing: list[list[int]]) -> int:
+    def rec(k: int, used: int) -> int:
         """Search below prefix `chosen[:k]`; return the depth to unwind to (n: none).
 
-        `fixing` holds the found automorphisms that fix `chosen[:k]`
-        pointwise; the ones found below are appended as the search returns.
+        The automorphisms appended to `autos` while this call runs fix
+        `chosen[:k]` pointwise; only they prune its children.
         """
         bit = 1 << (n - 1 - k)
         candidates = []
@@ -135,8 +137,8 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
             seen_twins.add(twin)
             candidates.append((acc[e] | bit, e))
         candidates.sort()
-        cursor = len(autos)
-        explored = 0  # orbit of the children searched so far, under `fixing`
+        start = len(autos)
+        explored = 0  # orbit of the children searched so far, under autos[start:]
         for row, e in candidates:
             if row > best[k]:
                 break
@@ -168,7 +170,7 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
                 low = rest & -rest
                 acc[low.bit_length() - 1] |= bit
                 rest ^= low
-            depth = rec(k + 1, used | 1 << e, [g for g in fixing if g[e] == e])
+            depth = rec(k + 1, used | 1 << e)
             rest = up[e]
             while rest:
                 low = rest & -rest
@@ -176,13 +178,12 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
                 rest ^= low
             if depth < k:
                 return depth
-            if len(autos) > cursor:
-                fixing.extend(autos[cursor:])
-                cursor = len(autos)
-            explored = _orbit(explored | 1 << e, fixing) if fixing else explored | 1 << e
+            explored |= 1 << e
+            if len(autos) > start:
+                explored = _orbit(explored, autos[start:])
         return n
 
-    rec(0, 0, [])
+    rec(0, 0)
     return tuple(best)
 
 

@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .canon import canonical_form
+from .canon import are_isomorphic, canonical_form
 from .compose import CompositionKind, compose
 from .core import (
     InvalidPosetError,
@@ -140,7 +140,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    same = canonical_form(_load(args.left)) == canonical_form(_load(args.right))
+    same = are_isomorphic(_load(args.left), _load(args.right))
     print("true" if same else "false")
     return OK if same else DOMAIN_FAIL
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compose", _cmd_compose, "compose two matrices")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--op", required=True, choices=["sq", "up", "dn"])
+    p.add_argument("--op", required=True, choices=[kind.value for kind in CompositionKind])
     p.add_argument("--at", required=True, type=int, help="1-based position in the left operand")
     p.add_argument("--relabel", action="store_true", help="relabel the output 1..n+m-1")
     p = add("eval", _cmd_eval, "evaluate a recipe expression")
@@ -250,13 +250,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_FAIL if err.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (MatrixParseError, RecipeError, MalformedMatrixError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_FAIL
     except InvalidPosetError as err:
         print(f"error: {err}", file=sys.stderr)
         return DOMAIN_FAIL
-    except (ValueError, KeyError, OSError) as err:
+    except (MatrixParseError, RecipeError, MalformedMatrixError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_FAIL
 

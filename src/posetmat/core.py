@@ -11,8 +11,9 @@ A matrix is stored as one low-bit row mask per position: bit z of
 ``masks[y]`` is ``rel[y][z]``.  The tuple-of-tuples ``rel`` is a derived,
 read-only view for display and for callers that index cells.
 
-Positions are 0-based internally.  Labels are arbitrary distinct strings
-riding along for display; they default to "1".."n".
+Positions are 0-based internally.  Labels are distinct strings, non-empty
+and free of the file format's separators (whitespace, '#'), riding along
+for display; they default to "1".."n".
 """
 from __future__ import annotations
 
@@ -123,6 +124,9 @@ def _coerce_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
         raise MalformedMatrixError(f"{len(out)} labels for order {n}")
     if len(set(out)) != n:
         raise MalformedMatrixError("labels must be distinct")
+    for label in out:
+        if label.split() != [label] or "#" in label:  # separators of the matrix file
+            raise MalformedMatrixError(f"label {label!r} is empty or holds whitespace or '#'")
     return out
 
 
@@ -316,12 +320,9 @@ def dual(m: PosetMatrix) -> PosetMatrix:
 
 def induced_subposet(m: PosetMatrix, subset: LabelSet | Iterable[int]) -> PosetMatrix:
     """Principal submatrix on the given positions, relative order retained."""
-    pos = tuple(subset.positions) if isinstance(subset, LabelSet) else tuple(sorted(set(subset)))
+    pos = LabelSet.of(m, subset).positions
     if not pos:
         raise ValueError("empty subset has no induced subposet")
-    for p in pos:
-        if not 0 <= p < m.order:
-            raise ValueError(f"position {p} out of range for order {m.order}")
     return PosetMatrix(_principal(m.masks, pos), tuple(m.labels[p] for p in pos))
 
 

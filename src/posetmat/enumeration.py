@@ -351,17 +351,11 @@ class CountRow:
     method: str
     total: int
     connected: int
-    expected_total: int | None = None
-    expected_connected: int | None = None
+    expected: tuple[int, int] | None = None  # (total, connected)
 
     @property
     def matches(self) -> bool | None:
-        if self.expected_total is None:
-            return None
-        return (self.total, self.connected) == (
-            self.expected_total,
-            self.expected_connected,
-        )
+        return None if self.expected is None else (self.total, self.connected) == self.expected
 
 
 @dataclass(frozen=True)
@@ -374,20 +368,17 @@ class CountTable:
 
     def render(self) -> str:
         header = f"{'order':>5}  {'method':<8}{'total':>7}{'connected':>11}"
-        has_expected = any(r.expected_total is not None for r in self.rows)
+        has_expected = any(r.expected is not None for r in self.rows)
         if has_expected:
             header += f"{'expected':>12}  match"
         lines = [header]
         for r in self.rows:
             line = f"{r.order:>5}  {r.method:<8}{r.total:>7}{r.connected:>11}"
             if has_expected:
-                if r.expected_total is None:
+                if r.expected is None:
                     line += f"{'-':>12}  -"
                 else:
-                    line += (
-                        f"{f'{r.expected_total}/{r.expected_connected}':>12}"
-                        f"  {'yes' if r.matches else 'NO'}"
-                    )
+                    line += f"{'%d/%d' % r.expected:>12}  {'yes' if r.matches else 'NO'}"
             lines.append(line)
         return "\n".join(lines)
 
@@ -413,9 +404,9 @@ def count_table(
             routes["oracle"] = {n: _catalog_from_packed(n, keys) for n, keys in enumerate(levels, 1)}
         if method != "oracle":
             routes["compose"] = _closure(max_n, chunk_map)
-    known = expected or {}
+    known = {n: tuple(pair) for n, pair in (expected or {}).items()}
     rows = [
-        CountRow(n, name, c.total, c.connected_count, *known.get(n, (None, None)))
+        CountRow(n, name, c.total, c.connected_count, known.get(n))
         for name, route in routes.items()
         for n, c in route.items()
     ]

@@ -146,9 +146,11 @@ class RecipeCall:
     span: tuple[int, int]
 
 
+# A name stops where an operation starts, so whitespace around one is optional.
+_OPER = "(?:" + "|".join(kind.value for kind in CompositionKind) + ")@"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<oper>(?:sq|up|dn)@\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*\*?)|(?P<paren>[()])"
-    r"|(?P<bad>\S))"
+    rf"\s*(?:(?P<oper>{_OPER}\d+)|(?P<name>[A-Za-z_](?:(?!{_OPER})[A-Za-z0-9_])*\*?)"
+    r"|(?P<paren>[()])|(?P<bad>\S))"
 )
 
 BUILTINS: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
@@ -256,8 +258,7 @@ def eval_recipe(expr: RecipeCall) -> CompositionResult:
     """Evaluate a parsed recipe; the top level keeps its validation report."""
     left = _eval(expr.left)
     right = _eval(expr.right)
-    if not 1 <= expr.position <= left.order:
-        raise RecipeError(
-            f"position {expr.position} out of range 1..{left.order}", expr.span
-        )
-    return compose(left, expr.kind, expr.position, right)
+    try:
+        return compose(left, expr.kind, expr.position, right)
+    except ValueError as err:
+        raise RecipeError(str(err), expr.span) from err

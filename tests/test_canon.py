@@ -87,6 +87,13 @@ def test_parse_rejects_garbage():
             CanonicalKey.parse(bad)
 
 
+def test_parse_accepts_only_what_render_writes():
+    assert CanonicalKey.parse("3:01f") == CanonicalKey(3, 0x1F)
+    for bad in ("3: 1f", "3:+1f", "3:0x1f", "03:01f", "3:01F", "3:1f", "3:-1", "3:fff", "0:0", "3:01f\n"):
+        with pytest.raises(ValueError, match="not a canonical key"):
+            CanonicalKey.parse(bad)
+
+
 def test_key_rows_reconstruct_chain():
     key = canonical_form(chain(3))
     assert key.matrix().rel == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
@@ -135,6 +142,20 @@ def antichain_sum(a: int, b: int) -> list[int]:
     return [0] * a + [(1 << a) - 1] * b
 
 
+def boolean_lattice(k: int) -> list[int]:
+    """Subsets of a k-set under inclusion, element s being the subset with bitmask s."""
+    return [sum(1 << t for t in range(s) if t & s == t) for s in range(1 << k)]
+
+
+def grid(a: int, b: int) -> list[int]:
+    """Product of an a-chain and a b-chain; element i*b + j is the pair (i, j)."""
+    return [
+        sum(1 << (p * b + q) for p in range(i + 1) for q in range(j + 1)) & ~(1 << (i * b + j))
+        for i in range(a)
+        for j in range(b)
+    ]
+
+
 def random_down(rng: random.Random, n: int, density: float) -> list[int]:
     down: list[int] = []
     for j in range(n):
@@ -175,6 +196,8 @@ REFERENCE_FAMILIES = (
     + [("3-chains", k, disjoint_chains(k, 3)) for k in range(1, 5)]
     + [("crown", k, crown(k)) for k in range(2, 7)]
     + [("antichain sum", a, antichain_sum(a, 6 - a)) for a in range(1, 6)]
+    + [("boolean lattice", k, boolean_lattice(k)) for k in (3, 4)]
+    + [("grid", f"{a}x{b}", grid(a, b)) for a, b in ((3, 3), (3, 5), (4, 4))]
 )
 
 
@@ -210,7 +233,7 @@ STRESS_FAMILIES = (
     [("2-chains", k, disjoint_chains(k, 2)) for k in (8, 10)]
     + [("3-chains", 6, disjoint_chains(6, 3))]
     + [("antichain sum", 10, antichain_sum(10, 10))]
-    + [("crown", k, crown(k)) for k in range(4, 8)]
+    + [("crown", k, crown(k)) for k in range(4, 9)]
 )
 
 

@@ -224,6 +224,14 @@ def test_connectivity_matches_component_count(m):
     assert is_connected(m) == (components == 1)
 
 
+@pytest.mark.parametrize("label", ["a b", "x#y", "", " a", "a\t", "a\nb"])
+def test_labels_the_matrix_file_cannot_carry_are_refused(label):
+    with pytest.raises(MalformedMatrixError):
+        chain(2).relabelled((label, "c"))
+    with pytest.raises(MalformedMatrixError):
+        PosetMatrix.from_rows(CHAIN3, ("p", label, "q"))
+
+
 def test_induced_subposet_of_chain():
     sub = induced_subposet(chain(5), (0, 2, 4))
     assert sub.rel == chain(3).rel

@@ -316,6 +316,13 @@ def test_count_table_render_is_stable():
     assert one == two
 
 
+def test_count_table_reads_expected_pairs_from_any_sequence():
+    as_lists = {n: list(pair) for n, pair in KNOWN_COUNTS.items()}
+    table = count_table(4, method="both", expected=as_lists)
+    assert table.all_match
+    assert table.render() == count_table(4, method="both", expected=KNOWN_COUNTS).render()
+
+
 @pytest.mark.parametrize("method", ["oracle", "compose", "both"])
 def test_count_table_refuses_large_orders_before_any_work(method):
     start = time.monotonic()

@@ -39,6 +39,11 @@ def test_serialize_keeps_custom_labels():
     assert parse_matrix(text).labels == ("lo", "hi")
 
 
+def test_primed_labels_round_trip():
+    m = chain(2).relabelled(("1'", "1"))
+    assert parse_matrix(serialize_matrix(m)) == m
+
+
 def test_parse_allows_comments_and_blank_lines():
     text = """
     # a three-chain
@@ -149,6 +154,20 @@ def test_symbols_may_shadow_builtins():
     fake = chain(3)
     out = eval_recipe(parse_recipe("C2 sq@1 C2", {"C2": fake}))
     assert out.order == 5
+
+
+@pytest.mark.parametrize(
+    "bare, spaced",
+    [("C2sq@1C2", "C2 sq@1 C2"), ("C2up@2(C2sq@1I2)", "C2 up@2 (C2 sq@1 I2)")],
+)
+def test_recipe_whitespace_is_optional(bare, spaced):
+    a, b = eval_recipe(parse_recipe(bare)), eval_recipe(parse_recipe(spaced))
+    assert (a.masks, a.labels) == (b.masks, b.labels)
+
+
+def test_recipe_names_may_end_in_an_operation_name():
+    out = eval_recipe(parse_recipe("Xsq sq@1 C2", {"Xsq": chain(3)}))
+    assert out.masks == chain(4).masks
 
 
 @pytest.mark.parametrize(
