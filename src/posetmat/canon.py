@@ -38,6 +38,31 @@ else, so only the first of each is tried.  The held leaf is forgotten
 whenever a best row is lowered, so gamma is only ever taken between
 leaves with the same rows.
 
+Canonical parents.  Lemma: the top-left (n-1)x(n-1) block of the
+canonical matrix of P is the canonical matrix of P - x for some maximal
+x; call that class P's canonical parent.  Proof: row k of the string
+holds the bits of the element placed at position k against the elements
+placed at 0..k, so it depends only on chosen[:k+1].  The last element of
+a linear extension is maximal, deleting it leaves a linear extension of
+P - x, and every linear extension of P - x, for x maximal, extends by x
+to one of P.  In a linear extension no row before the last has a bit in
+the last column, so the first n-1 rows of P's least string are the least
+rows of some P - x, each shifted left by one.
+
+So a child C, made by topping a representative R of order n-1 with a new
+maximal element, has a canonical block no greater than R, and R is C's
+canonical parent exactly when the block is not below R.  The search
+tests this with R's rows as a bound: they pre-fill the first n-1 best
+rows.  C's own labelling starts with them, so every cut against them
+still cuts only strings above one that exists, and the pruning stays
+sound: the search still reaches a leaf with the least rows unless it
+stops first.  On the way to that leaf, at the first row below R's, if
+any, it sees a candidate row below the best one at a depth under n-1,
+and stops with no result.  Every class is therefore accepted from
+exactly one parent, its canonical parent R* topped with the strict
+down-set of the last row of its canonical matrix; two ideals of R* can
+still give the same class.
+
 Candidate rows are built incrementally: `acc[e]` carries the output bits
 of e's placed strict down-set.  Placing e at position k sets the bit of
 column k in `acc` of every element above e, and removing e clears it,
@@ -105,22 +130,27 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[int, ...]:
+def _minimal_row_ints(
+    n: int, down: Sequence[int], up: Sequence[int], bound: Sequence[int] = ()
+) -> tuple[int, ...] | None:
     """Smallest output rows over all linear extensions; row ints are MSB=col 0.
 
     `down[e]`/`up[e]` are the strict down- and up-sets of element e as
     bitmasks.  Depth k of the search places one element at output
-    position k; `chosen[:k]` is the placed prefix.
+    position k; `chosen[:k]` is the placed prefix.  `bound`, rows that
+    some linear extension starts with, pre-fills the first best rows; a
+    row below one of them ends the search with None.
     """
     sentinel = 1 << (n + 1)
-    best = [sentinel] * n
+    bounded = len(bound)
+    best = list(bound) + [sentinel] * (n - bounded)
     chosen = [0] * n
     acc = [0] * n  # acc[e]: output-row bits of the placed part of e's strict down-set
     autos: list[list[int]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
 
     def rec(k: int, used: int) -> int:
-        """Search below prefix `chosen[:k]`; return the depth to unwind to (n: none).
+        """Search below prefix `chosen[:k]`; return the depth to unwind to (n: none, -1: all).
 
         The automorphisms appended to `autos` while this call runs fix
         `chosen[:k]` pointwise; only they prune its children.
@@ -143,6 +173,8 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
             if row > best[k]:
                 break
             if row < best[k]:
+                if k < bounded:
+                    return -1
                 best[k] = row
                 for j in range(k + 1, n):
                     best[j] = sentinel
@@ -183,12 +215,18 @@ def _minimal_row_ints(n: int, down: Sequence[int], up: Sequence[int]) -> tuple[i
                 explored = _orbit(explored, autos[start:])
         return n
 
-    rec(0, 0)
+    if rec(0, 0) < 0:
+        return None
     return tuple(best)
 
 
-def packed_from_masks(n: int, row_masks: Sequence[int]) -> int:
-    """Canonical packed bit-string for a matrix given as low-bit row masks."""
+def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = None) -> int | None:
+    """Canonical packed bit-string for a matrix given as low-bit row masks.
+
+    With `parent`, the packed key of an order n-1 class that is isomorphic
+    to the matrix less some maximal element, the result is None unless
+    that class is the matrix's canonical parent (see above).
+    """
     down = [0] * n
     up = [0] * n
     for y in range(n):
@@ -198,7 +236,14 @@ def packed_from_masks(n: int, row_masks: Sequence[int]) -> int:
             low = rest & -rest
             up[low.bit_length() - 1] |= 1 << y
             rest ^= low
-    rows = _minimal_row_ints(n, down, up)
+    bound = ()
+    if parent is not None:
+        # The parent's rows, one column narrower, widened by an empty last column.
+        width = n - 1
+        bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
+    rows = _minimal_row_ints(n, down, up, bound)
+    if rows is None:
+        return None
     packed = 0
     for row in rows:
         packed = (packed << n) | row

@@ -8,8 +8,10 @@ Two independent routes:
   representative R, and the element's strict down-set is an ideal (a
   down-closed subset) of R.  So appending, to each representative of
   order k, one new top row per ideal yields a member of every class of
-  order k+1, and every such child is a valid matrix.  Children are
-  deduplicated by canonical key.
+  order k+1, and every such child is a valid matrix.  A child is kept
+  only when its parent is its canonical parent, the class of the top-left
+  block of its canonical matrix (see canon), so each class comes from one
+  parent and only that parent's children need deduplicating.
 
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
@@ -20,7 +22,8 @@ Two independent routes:
 
 Both routes split their work (a level's parent representatives, or the
 pairs of operand classes) into independent chunks whose per-chunk results
-merge associatively, so the outcome does not depend on the worker count.
+merge associatively (the oracle's by concatenation), so the classes found
+do not depend on the worker count.
 With more than one worker, one process pool, of at most one process per
 CPU, serves every level of a call.
 """
@@ -167,24 +170,31 @@ def _catalog_from_packed(order: int, packed_keys: Iterable[int]) -> ClassCatalog
     return _catalog(order, {p: (None, CanonicalKey(order, p).matrix()) for p in packed_keys})
 
 
-def _extend_chunk(args: tuple[list[int], int]) -> set[int]:
-    """Canonical keys of order k+1 reached by topping each order-k class with one ideal."""
+def _extend_chunk(args: tuple[list[int], int]) -> list[int]:
+    """Keys of the order-(k+1) classes whose canonical parent is one of the chunk's classes.
+
+    Each parent tops its representative with one ideal at a time and keeps
+    the child only if the child's canonical form begins with the parent's
+    rows.  Two ideals of one parent can give the same class, so each
+    parent dedupes its own children; no two parents keep the same class.
+    """
     parents, k = args
-    found: set[int] = set()
+    found: list[int] = []
     for packed in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         masks = CanonicalKey(k, packed).matrix().masks
-        for s in _ideals(masks, k):
-            found.add(packed_from_masks(k + 1, masks + (s | 1 << k,)))
+        children = {packed_from_masks(k + 1, masks + (s | 1 << k,), packed) for s in _ideals(masks, k)}
+        children.discard(None)
+        found += children
     return found
 
 
-def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[set[int]]:
-    """Packed canonical keys of every class of orders 1..n, one set per order."""
-    levels = [{1}]  # the one-element poset; its 1x1 matrix packs to 1
+def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[int]]:
+    """Packed canonical keys of every class of orders 1..n, one list per order."""
+    levels = [[1]]  # the one-element poset; its 1x1 matrix packs to 1
     for k in range(1, n):
-        levels.append(set().union(*chunk_map(_extend_chunk, list(levels[-1]), k)))
+        levels.append([p for chunk in chunk_map(_extend_chunk, levels[-1], k) for p in chunk])
     return levels
 
 

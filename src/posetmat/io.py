@@ -113,11 +113,14 @@ def serialize_matrix(m: PosetMatrix | CompositionResult) -> str:
 
 def to_dot(m: PosetMatrix) -> str:
     """Covering relation as a DOT digraph, edges directed lower -> upper."""
+    # A quoted DOT ID escapes its quotes; backslashes are escaped too, so a
+    # label's own backslash can neither escape a quote nor start an escape.
+    ids = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"' for label in m.labels]
     lines = ["digraph poset {"]
-    for label in m.labels:
-        lines.append(f'  "{label}";')
+    for node in ids:
+        lines.append(f"  {node};")
     for lower, upper in hasse_edges(m):
-        lines.append(f'  "{m.labels[lower]}" -> "{m.labels[upper]}";')
+        lines.append(f"  {ids[lower]} -> {ids[upper]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

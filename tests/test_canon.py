@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from posetmat import (
+    KNOWN_COUNTS,
     CanonicalKey,
     PosetMatrix,
     are_isomorphic,
@@ -222,6 +223,66 @@ def test_search_matches_reference_on_random_posets(n):
         for _ in range(3):
             masks = relabelled_masks(random_down(rng, n, density), rng)
             assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+
+
+# Canonical parents, bounded by the parent's rows (see the canon module docstring).
+
+
+def block(n: int, packed: int) -> tuple[int, ...]:
+    """Row masks of the top-left (n-1)x(n-1) block of a packed canonical key."""
+    return CanonicalKey(n, packed).matrix().masks[:-1]
+
+
+def deleted(masks: tuple[int, ...], y: int) -> tuple[int, ...]:
+    """Row masks with element y removed and the later elements moved down one place."""
+    low = (1 << y) - 1
+    return tuple(row & low | row >> (y + 1) << y for z, row in enumerate(masks) if z != y)
+
+
+def assert_bounded_search_on_every_child(k):
+    parents = {packed_from_masks(k, rows) for rows in iter_matrices(k)}
+    accepted: dict[int, set[int]] = {}  # child key -> the parents that kept it
+    for parent in parents:
+        masks = CanonicalKey(k, parent).matrix().masks
+        for s in reference.ideals(masks, k):
+            child = masks + (s | 1 << k,)
+            key = packed_from_masks(k + 1, child)
+            bounded = packed_from_masks(k + 1, child, parent)
+            if block(k + 1, key) == masks:
+                assert bounded == key, (parent, s)
+                accepted.setdefault(key, set()).add(parent)
+            else:
+                assert bounded is None, (parent, s)
+    assert len(accepted) == KNOWN_COUNTS[k + 1][0]
+    assert all(len(kept_by) == 1 for kept_by in accepted.values())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bounded_search_on_every_ideal_of_every_representative(k):
+    assert_bounded_search_on_every_child(k)
+
+
+@pytest.mark.slow
+def test_bounded_search_on_every_ideal_of_every_representative_order7():
+    assert_bounded_search_on_every_child(7)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_bounded_search_keeps_only_the_least_deletion_on_random_posets(n):
+    rng = random.Random(f"parent-{n}")
+    for density in (0.1, 0.2, 0.35, 0.5):
+        for _ in range(3):
+            masks = relabelled_masks(random_down(rng, n, density), rng)
+            key = packed_from_masks(n, masks)
+            maximal = [y for y in range(n) if not any(masks[z] >> y & 1 for z in range(n) if z != y)]
+            parents = {packed_from_masks(n - 1, deleted(masks, y)) for y in maximal}
+            for parent in parents:
+                bounded = packed_from_masks(n, masks, parent)
+                if parent == min(parents):
+                    assert block(n, key) == CanonicalKey(n - 1, parent).matrix().masks
+                    assert bounded == key, masks
+                else:
+                    assert bounded is None, masks
 
 
 # Seconds allowed for one canonical search on the stress family.  The

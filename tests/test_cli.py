@@ -105,6 +105,18 @@ def test_hasse_dot_output(tmp_path, capsys):
     assert out.rstrip().endswith("}")
 
 
+def test_hasse_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    text = '2\nlabels: a"b c\\d\n1 0\n1 1\n'
+    code, out, err = run(capsys, "hasse", "--dot", put(tmp_path, "m.pm", text))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        '  "a\\"b";',
+        '  "c\\\\d";',
+        '  "a\\"b" -> "c\\\\d";',
+        "}",
+    ]
+
+
 def test_sub_restricts_to_named_elements(tmp_path, capsys):
     text = "3\nlabels: a b c\n1 0 0\n1 1 0\n1 1 1\n"
     code, out, err = run(

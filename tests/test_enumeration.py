@@ -91,6 +91,25 @@ def test_oracle_worker_counts_agree():
     assert enumerate_oracle(5, workers=2).entries == enumerate_oracle(5).entries
 
 
+def assert_oracle_levels_hold_each_class_once(n):
+    levels = {}
+    for workers in (1, 2):
+        with enumeration._ChunkMap(workers) as chunk_map:
+            levels[workers] = enumeration._oracle_levels(n, chunk_map)
+    for k, level in enumerate(levels[1], 1):
+        assert len(level) == len(set(level)) == KNOWN_COUNTS[k][0]
+    assert [sorted(level) for level in levels[1]] == [sorted(level) for level in levels[2]]
+
+
+def test_oracle_levels_hold_each_class_once():
+    assert_oracle_levels_hold_each_class_once(7)
+
+
+@pytest.mark.slow
+def test_oracle_levels_hold_each_class_once_order8():
+    assert_oracle_levels_hold_each_class_once(8)
+
+
 def labelled_walk_classes(n):
     """Class key -> connected flag, from every labelled matrix of order n."""
     classes = {}
