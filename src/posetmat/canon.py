@@ -34,7 +34,9 @@ the least string:
 
 Interchangeable twins (equal strict down- and up-sets) are the cheap
 special case: swapping two of them is an automorphism fixing everything
-else, so only the first of each is tried.  The held leaf is forgotten
+else, so an element is tried only once its lower-indexed twins are all
+placed.  Twins share a down-set, so they become available together, and
+each node tries the least unplaced one.  The held leaf is forgotten
 whenever a best row is lowered, so gamma is only ever taken between
 leaves with the same rows.
 
@@ -72,11 +74,12 @@ the prefix.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Masks, PosetMatrix, default_labels
+from .core import Masks, PosetMatrix, default_labels, validate_masks
 
 
 @dataclass(frozen=True, order=True)
@@ -98,21 +101,27 @@ class CanonicalKey:
 
     @staticmethod
     def parse(text: str) -> "CanonicalKey":
-        """Inverse of `render`, which is the only spelling it accepts."""
+        """Inverse of `render`: accepts exactly what it writes for some poset."""
         match = re.fullmatch(r"([1-9][0-9]*):([0-9a-f]+)", text)
         if match:
             order, packed = int(match[1]), int(match[2], 16)
             if len(match[2]) == (order * order + 3) // 4 and not packed >> (order * order):
-                return CanonicalKey(order, packed)
+                masks = _masks(order, packed)
+                report = validate_masks(masks)
+                if report.ok and report.lower_triangular_ok and packed_from_masks(order, masks) == packed:
+                    return CanonicalKey(order, packed)
         raise ValueError(f"not a canonical key: {text!r}")
 
     def matrix(self) -> PosetMatrix:
         """The canonical representative itself, default labels."""
-        n = self.order
-        rows = (self.packed >> (n * (n - 1 - y)) & ((1 << n) - 1) for y in range(n))
-        # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
-        masks = tuple(int(format(row, f"0{n}b")[::-1], 2) for row in rows)
-        return PosetMatrix(masks, default_labels(n))
+        return PosetMatrix(_masks(self.order, self.packed), default_labels(self.order))
+
+
+def _masks(n: int, packed: int) -> Masks:
+    """The row masks of an n x n bit-string packed MSB-first."""
+    rows = (packed >> (n * (n - 1 - y)) & ((1 << n) - 1) for y in range(n))
+    # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
+    return tuple(int(format(row, f"0{n}b")[::-1], 2) for row in rows)
 
 
 def _orbit(mask: int, gens: list[list[int]]) -> int:
@@ -141,6 +150,13 @@ def _minimal_row_ints(
     some linear extension starts with, pre-fills the first best rows; a
     row below one of them ends the search with None.
     """
+    # needs[e]: what must be placed before e, its strict down-set and its lower-indexed twins.
+    needs = []
+    twins: dict[tuple[int, int], int] = {}  # (down, up) -> the elements seen with them
+    for e in range(n):
+        seen = twins.get((down[e], up[e]), 0)
+        needs.append(down[e] | seen)
+        twins[down[e], up[e]] = seen | 1 << e
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = list(bound) + [sentinel] * (n - bounded)
@@ -156,16 +172,7 @@ def _minimal_row_ints(
         `chosen[:k]` pointwise; only they prune its children.
         """
         bit = 1 << (n - 1 - k)
-        candidates = []
-        seen_twins = set()
-        for e in range(n):
-            if used >> e & 1 or down[e] & ~used:
-                continue
-            twin = (down[e], up[e])
-            if twin in seen_twins:
-                continue
-            seen_twins.add(twin)
-            candidates.append((acc[e] | bit, e))
+        candidates = [(acc[e] | bit, e) for e in range(n) if not (used >> e & 1 or needs[e] & ~used)]
         candidates.sort()
         start = len(autos)
         explored = 0  # orbit of the children searched so far, under autos[start:]
@@ -215,8 +222,14 @@ def _minimal_row_ints(
                 explored = _orbit(explored, autos[start:])
         return n
 
-    if rec(0, 0) < 0:
-        return None
+    try:
+        if rec(0, 0) < 0:
+            return None
+    except RecursionError:
+        # One frame per placed element: the order, not the input, is at fault.
+        raise ValueError(
+            f"order {n} is too large for the canonical search (recursion limit {sys.getrecursionlimit()})"
+        ) from None
     return tuple(best)
 
 

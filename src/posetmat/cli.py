@@ -23,13 +23,7 @@ from .core import (
     minimal_elements,
     validate_axioms,
 )
-from .enumeration import (
-    KNOWN_COUNTS,
-    composition_closure,
-    count_table,
-    emit_catalog,
-    enumerate_oracle,
-)
+from .enumeration import KNOWN_COUNTS, count_table, emit_catalog, method_catalogs
 from .io import (
     MatrixParseError,
     RecipeError,
@@ -146,11 +140,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    catalogs = {}
-    if args.method in ("oracle", "both"):
-        catalogs["oracle"] = enumerate_oracle(args.order, args.workers)
-    if args.method in ("compose", "both"):
-        catalogs["compose"] = composition_closure(args.order, args.workers)[args.order]
+    routes = method_catalogs(args.order, args.method, args.workers)
+    catalogs = {name: route[args.order] for name, route in routes.items()}
     if args.connected:
         catalogs = {name: c.restricted_to_connected() for name, c in catalogs.items()}
     for name, catalog in catalogs.items():

@@ -8,8 +8,8 @@ the whole of B.  The result has order n+m-1 and storage order
 A's two diagonal blocks and B's block are copied verbatim; everything
 above the diagonal outside those blocks is 0.  The operations differ only
 in the two cross blocks U (B rows over the left A columns) and V (right A
-rows over the B columns), written here with a = A.rel and d = i-1 the
-0-based deleted position:
+rows over the B columns), written here with a[y][z] for bit z of A's row
+mask y and d = i-1 the 0-based deleted position:
 
   square: every element of B inherits all of i's relations.
       U[y][z] = a[d][z]            V[y][z] = a[y][d]
@@ -25,7 +25,7 @@ rows over the B columns), written here with a = A.rel and d = i-1 the
   tri_down mirrors tri_up with min/max swapped.
 
 Operands and outputs are row masks (see `core`), so one kernel builds all
-three kinds from shifted and OR-ed rows; `rows` is a derived view.
+three kinds from shifted and OR-ed rows.
 
 The square operation always yields a valid poset matrix.  The triangle
 operations need not: the default-inherit cases can break transitivity
@@ -138,15 +138,3 @@ def compose(
     labels = default_labels(n + m - 1) if relabel else _provenance_labels(a, d, b)
     return CompositionResult(masks, validate_masks(masks), labels)
 
-
-def compose_square(a: PosetMatrix, i: int, b: PosetMatrix, relabel: bool = False) -> CompositionResult:
-    """Uniform inheritance; closed on poset matrices."""
-    return compose(a, CompositionKind.SQUARE, i, b, relabel)
-
-
-def compose_tri_up(a: PosetMatrix, i: int, b: PosetMatrix, relabel: bool = False) -> CompositionResult:
-    return compose(a, CompositionKind.TRI_UP, i, b, relabel)
-
-
-def compose_tri_down(a: PosetMatrix, i: int, b: PosetMatrix, relabel: bool = False) -> CompositionResult:
-    return compose(a, CompositionKind.TRI_DOWN, i, b, relabel)

@@ -1,15 +1,15 @@
 """Finite posets encoded as square 0/1 matrices.
 
-Convention: ``rel[y][z] == 1`` means the element stored at position z lies
-at or below the element stored at position y (z <= y).  Row y therefore
-lists the down-set of y.  Storage order is required to be a linear
-extension, so every accepted matrix is lower-triangular; candidates that
-satisfy the order axioms under some other row order can be repaired with
+A matrix is stored as one low-bit row mask per position.  Convention: bit
+z of ``masks[y]`` is set when the element stored at position z lies at or
+below the element stored at position y (z <= y).  Row y therefore lists
+the down-set of y.  Storage order is required to be a linear extension,
+so every accepted matrix is lower-triangular; candidates that satisfy the
+order axioms under some other row order can be repaired with
 `normalize_linear_extension`.
 
-A matrix is stored as one low-bit row mask per position: bit z of
-``masks[y]`` is ``rel[y][z]``.  The tuple-of-tuples ``rel`` is a derived,
-read-only view for display and for callers that index cells.
+The package reads only the masks.  The 0/1 rows of `rows_from_masks`
+(``PosetMatrix.rel``) are kept for callers outside it that index cells.
 
 Positions are 0-based internally.  Labels are distinct strings, non-empty
 and free of the file format's separators (whitespace, '#'), riding along
@@ -250,10 +250,8 @@ class PosetMatrix:
         width = max(len(lab) for lab in self.labels)
         head = " " * (width + 1) + " ".join(lab.rjust(width) for lab in self.labels)
         body = [
-            self.labels[y].rjust(width) + "  " + " ".join(
-                str(c).rjust(width) for c in row
-            )
-            for y, row in enumerate(self.rel)
+            label.rjust(width) + "  " + " ".join(str(mask >> z & 1).rjust(width) for z in range(self.order))
+            for label, mask in zip(self.labels, self.masks)
         ]
         return "\n".join([head] + body)
 

@@ -393,6 +393,28 @@ class CountTable:
         return "\n".join(lines)
 
 
+def method_catalogs(max_n: int, method: str, workers: int) -> dict[str, dict[int, ClassCatalog]]:
+    """Catalogs by order up to max_n, per route of the method ("oracle", "compose", "both").
+
+    The oracle's come first.  One walk builds every oracle order, and one
+    pool serves both routes.  The closure refuses order 1, the composition
+    identity, not a product.
+    """
+    if method not in ("oracle", "compose", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    if not 1 <= max_n <= MAX_ORACLE_ORDER:
+        # Refuse before the smaller orders are computed, not after.
+        raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
+    routes: dict[str, dict[int, ClassCatalog]] = {}
+    with _ChunkMap(workers) as chunk_map:
+        if method != "compose":
+            levels = _oracle_levels(max_n, chunk_map)
+            routes["oracle"] = {n: _catalog_from_packed(n, keys) for n, keys in enumerate(levels, 1)}
+        if method != "oracle":
+            routes["compose"] = _closure(max_n, chunk_map)
+    return routes
+
+
 def count_table(
     max_n: int,
     method: str = "oracle",
@@ -400,20 +422,7 @@ def count_table(
     workers: int = 1,
 ) -> CountTable:
     """Class counts per order for the chosen method ("oracle", "compose", "both")."""
-    if method not in ("oracle", "compose", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    if not 1 <= max_n <= MAX_ORACLE_ORDER:
-        # Refuse before the smaller orders are computed, not after.
-        raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
-    routes: dict[str, Mapping[int, ClassCatalog]] = {}
-    # One walk builds every oracle order, and one pool serves both methods.
-    # The closure refuses order 1, the composition identity, not a product.
-    with _ChunkMap(workers) as chunk_map:
-        if method != "compose":
-            levels = _oracle_levels(max_n, chunk_map)
-            routes["oracle"] = {n: _catalog_from_packed(n, keys) for n, keys in enumerate(levels, 1)}
-        if method != "oracle":
-            routes["compose"] = _closure(max_n, chunk_map)
+    routes = method_catalogs(max_n, method, workers)
     known = {n: tuple(pair) for n, pair in (expected or {}).items()}
     rows = [
         CountRow(n, name, c.total, c.connected_count, known.get(n))

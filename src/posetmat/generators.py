@@ -30,8 +30,8 @@ def antichain(n: int) -> PosetMatrix:
 C2 = chain(2)
 I2 = antichain(2)
 
-_C2: Rows = C2.rel
-_I2: Rows = I2.rel
+_C2: Rows = ((1, 0), (1, 1))
+_I2: Rows = ((1, 0), (0, 1))
 
 
 @dataclass(frozen=True)

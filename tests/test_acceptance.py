@@ -17,8 +17,6 @@ from posetmat import (
     PosetMatrix,
     canonical_form,
     compose,
-    compose_square,
-    compose_tri_up,
     dual,
     is_connected,
     maximal_elements,
@@ -164,7 +162,7 @@ def test_criterion_2_hand_checked_matrices():
     # the first disconnected item carries explicit element names
     left = PosetMatrix.from_rows(ORDER4_DISCONNECTED[0].left, labels=("1", "2", "3"))
     right = PosetMatrix.from_rows(ORDER4_DISCONNECTED[0].right, labels=("4", "5"))
-    assert compose_square(left, 3, right).labels == ("1", "2", "4", "5")
+    assert compose(left, CompositionKind.SQUARE, 3, right).labels == ("1", "2", "4", "5")
 
     by_name = {c.name: PosetMatrix.from_rows(c.expected) for c in ORDER4_CONNECTED}
     assert dual(by_name["A"]).rel == by_name["A*"].rel
@@ -175,7 +173,7 @@ def test_criterion_2_hand_checked_matrices():
     for name in ("D", "E", "F", "G"):
         assert canonical_form(dual(by_name[name])) == canonical_form(by_name[name])
 
-    expansion = compose_square(by_name["A"], 3, C2)
+    expansion = compose(by_name["A"], CompositionKind.SQUARE, 3, C2)
     assert expansion.rows == (
         (1, 0, 0, 0, 0),
         (1, 1, 0, 0, 0),
@@ -208,14 +206,14 @@ def test_criterion_4_full_splice_closure():
     checked = 0
     for a, b in itertools.product(smalls, smalls):
         for i in range(1, a.order + 1):
-            assert compose_square(a, i, b).valid
+            assert compose(a, CompositionKind.SQUARE, i, b).valid
             checked += 1
     exhaustive = checked
     rng = random.Random(20260823)
     for _ in range(10_000):
         a = random_poset(rng, rng.randint(5, 7))
         b = random_poset(rng, rng.randint(5, 7))
-        assert compose_square(a, rng.randint(1, a.order), b).valid
+        assert compose(a, CompositionKind.SQUARE, rng.randint(1, a.order), b).valid
         checked += 1
     print(
         f"criterion 4: PASS  {exhaustive} exhaustive + 10000 random "
@@ -235,8 +233,8 @@ def test_criterion_5_duality():
     for a, b in itertools.product(smalls, smalls):
         for i in range(1, a.order + 1):
             j = a.order - i + 1
-            left = compose_square(a, i, b).poset()
-            right = compose_square(dual(a), j, dual(b)).poset()
+            left = compose(a, CompositionKind.SQUARE, i, b).poset()
+            right = compose(dual(a), CompositionKind.SQUARE, j, dual(b)).poset()
             assert canonical_form(dual(left)) == canonical_form(right)
             checks += 1
             for kind, partner in (
@@ -256,8 +254,8 @@ def test_criterion_5_duality():
     for a in smalls:
         for b in (C2, I2):
             for i in range(1, a.order + 1):
-                left = compose_square(a, i, b).poset()
-                right = compose_square(dual(a), a.order - i + 1, b).poset()
+                left = compose(a, CompositionKind.SQUARE, i, b).poset()
+                right = compose(dual(a), CompositionKind.SQUARE, a.order - i + 1, b).poset()
                 assert canonical_form(dual(left)) == canonical_form(right)
                 checks += 1
     print(f"criterion 5: PASS  involution exact, {checks} duality mirrors agree")
@@ -294,7 +292,7 @@ def test_criterion_6_structure_oracles():
             for m_order in range(1, 4):
                 for b in iter_all_posets(m_order):
                     all_disconnected = all(
-                        not is_connected(compose_square(a, i, b).poset())
+                        not is_connected(compose(a, CompositionKind.SQUARE, i, b).poset())
                         for i in range(1, n + 1)
                     )
                     assert all_disconnected == (not is_connected(a))
@@ -306,7 +304,7 @@ def test_criterion_6_structure_oracles():
 
 
 def test_criterion_7_known_invalid_splice():
-    out = compose_tri_up(chain(4), 3, chain(2))
+    out = compose(chain(4), CompositionKind.TRI_UP, 3, chain(2))
     assert not out.valid
     assert ("transitive", (2, 1, 0)) in out.report.violations
     print(

@@ -89,8 +89,11 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_accepts_only_what_render_writes():
-    assert CanonicalKey.parse("3:01f") == CanonicalKey(3, 0x1F)
-    for bad in ("3: 1f", "3:+1f", "3:0x1f", "03:01f", "3:01F", "3:1f", "3:-1", "3:fff", "0:0", "3:01f\n"):
+    assert CanonicalKey.parse("3:137") == CanonicalKey(3, 0x137)
+    spellings = ("3: 1f", "3:+1f", "3:0x1f", "03:01f", "3:01F", "3:1f", "3:-1", "3:fff", "0:0", "3:01f\n")
+    # Well spelled, but no poset has them as key: a 2-cycle, a row 0 with no
+    # diagonal bit, and a poset whose key is 3:113.
+    for bad in spellings + ("2:f", "3:01f", "3:131"):
         with pytest.raises(ValueError, match="not a canonical key"):
             CanonicalKey.parse(bad)
 

@@ -9,7 +9,7 @@ import io
 import pytest
 
 import posetmat.io
-from posetmat import CompositionKind, PosetMatrix, canonical_form, chain, compose
+from posetmat import CanonicalKey, CompositionKind, PosetMatrix, canonical_form, chain, compose
 from posetmat.cli import main
 from posetmat.io import parse_candidate, parse_matrix
 
@@ -267,6 +267,32 @@ def test_iso_false_across_classes(tmp_path, capsys):
     right = put(tmp_path, "b.pm", VEE)
     code, out, err = run(capsys, "iso", left, right)
     assert (code, out) == (1, "false\n")
+
+
+def chain_file(tmp_path, n):
+    """The n-chain as a matrix file, written without building it."""
+    rows = "".join(" ".join("1" * (y + 1) + "0" * (n - 1 - y)) + "\n" for y in range(n))
+    return put(tmp_path, f"chain{n}.pm", f"{n}\n{rows}")
+
+
+@pytest.mark.parametrize("command", ["canon", "iso"])
+def test_orders_past_the_recursion_limit_are_refused(tmp_path, capsys, command):
+    # The canonical search takes one frame per element.
+    path = chain_file(tmp_path, 1100)
+    files = [path] if command == "canon" else [path, path]
+    code, out, err = run(capsys, command, *files)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order 1100 is too large for the canonical search")
+    assert err.count("\n") == 1
+
+
+def test_canon_keys_a_500_chain(tmp_path, capsys):
+    n = 500
+    packed = 0
+    for y in range(n):
+        packed = packed << n | ((1 << y + 1) - 1) << (n - 1 - y)  # row y: columns 0..y
+    code, out, err = run(capsys, "canon", chain_file(tmp_path, n))
+    assert (code, out, err) == (0, CanonicalKey(n, packed).render() + "\n", "")
 
 
 def test_enumerate_oracle_counts(capsys):

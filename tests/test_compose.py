@@ -7,9 +7,6 @@ from posetmat import (
     PosetMatrix,
     canonical_form,
     compose,
-    compose_square,
-    compose_tri_down,
-    compose_tri_up,
     dual,
 )
 from posetmat.generators import antichain, chain
@@ -35,7 +32,7 @@ ALL_KINDS = (
 
 
 def test_tri_down_at_minimal_position():
-    out = compose_tri_down(A, 1, B)
+    out = compose(A, CompositionKind.TRI_DOWN, 1, B)
     assert out.valid
     assert out.labels == ("5", "6", "7", "2", "3", "4")
     assert out.rows == (
@@ -49,7 +46,7 @@ def test_tri_down_at_minimal_position():
 
 
 def test_tri_up_at_maximal_position():
-    out = compose_tri_up(A, 3, B)
+    out = compose(A, CompositionKind.TRI_UP, 3, B)
     assert out.valid
     assert out.labels == ("1", "2", "5", "6", "7", "4")
     assert out.rows == (
@@ -63,7 +60,7 @@ def test_tri_up_at_maximal_position():
 
 
 def test_tri_up_at_non_maximal_position():
-    out = compose_tri_up(A, 2, B)
+    out = compose(A, CompositionKind.TRI_UP, 2, B)
     assert out.valid
     assert out.labels == ("1", "5", "6", "7", "3", "4")
     assert out.rows == (
@@ -77,7 +74,7 @@ def test_tri_up_at_non_maximal_position():
 
 
 def test_tri_down_at_non_minimal_position():
-    out = compose_tri_down(A, 2, B)
+    out = compose(A, CompositionKind.TRI_DOWN, 2, B)
     assert out.valid
     assert out.labels == ("1", "5", "6", "7", "3", "4")
     assert out.rows == (
@@ -91,7 +88,7 @@ def test_tri_down_at_non_minimal_position():
 
 
 def test_square_keeps_full_inheritance():
-    out = compose_square(A, 3, chain(2))
+    out = compose(A, CompositionKind.SQUARE, 3, chain(2))
     assert out.valid
     assert out.rows == (
         (1, 0, 0, 0, 0),
@@ -104,9 +101,9 @@ def test_square_keeps_full_inheritance():
 
 def test_position_bounds_checked():
     with pytest.raises(ValueError):
-        compose_square(A, 0, B)
+        compose(A, CompositionKind.SQUARE, 0, B)
     with pytest.raises(ValueError):
-        compose_square(A, 5, B)
+        compose(A, CompositionKind.SQUARE, 5, B)
 
 
 def test_singleton_operand_neutrality():
@@ -114,10 +111,10 @@ def test_singleton_operand_neutrality():
     # and a right identity for the restricted kinds at their Case-1 positions
     one = chain(1)
     for i in (1, 2, 3, 4):
-        assert compose_square(A, i, one).rows == A.rel
+        assert compose(A, CompositionKind.SQUARE, i, one).rows == A.rel
     for i in (3, 4):  # max(A) = {3, 4}
-        assert compose_tri_up(A, i, one).rows == A.rel
-    assert compose_tri_down(A, 1, one).rows == A.rel  # min(A) = {1}
+        assert compose(A, CompositionKind.TRI_UP, i, one).rows == A.rel
+    assert compose(A, CompositionKind.TRI_DOWN, 1, one).rows == A.rel  # min(A) = {1}
     for kind in ALL_KINDS:
         out = compose(one, kind, 1, B)
         assert out.valid
@@ -127,7 +124,7 @@ def test_singleton_operand_neutrality():
 def test_tri_up_with_singleton_below_a_minimal_element():
     # at a non-maximal position the Case-2 zero rule really does fire:
     # splicing the point into the middle of a 3-chain cuts the bottom link
-    out = compose_tri_up(chain(3), 2, chain(1))
+    out = compose(chain(3), CompositionKind.TRI_UP, 2, chain(1))
     assert out.valid
     assert out.rows == ((1, 0, 0), (0, 1, 0), (1, 1, 1))
 
@@ -135,17 +132,17 @@ def test_tri_up_with_singleton_below_a_minimal_element():
 def test_provenance_labels_prime_clashes():
     # B's label "1" collides with A's surviving "1"; B's "2" does not
     # collide because A's own "2" was the deleted position
-    out = compose_square(chain(3), 2, chain(2))
+    out = compose(chain(3), CompositionKind.SQUARE, 2, chain(2))
     assert out.labels == ("1", "1'", "2", "3")
 
 
 def test_relabel_replaces_provenance_labels():
-    out = compose_square(chain(3), 2, chain(2), relabel=True)
+    out = compose(chain(3), CompositionKind.SQUARE, 2, chain(2), relabel=True)
     assert out.labels == ("1", "2", "3", "4")
 
 
 def test_invalid_case_two_output_keeps_witness():
-    out = compose_tri_up(chain(4), 3, chain(2))
+    out = compose(chain(4), CompositionKind.TRI_UP, 3, chain(2))
     assert not out.valid
     assert ("transitive", (2, 1, 0)) in out.report.violations
     with pytest.raises(InvalidPosetError):
@@ -181,7 +178,7 @@ def test_output_shape_and_diagonal_blocks(a, b, kind, data):
 @given(poset_matrices(max_order=5), poset_matrices(max_order=5), st.data())
 def test_square_composition_always_valid(a, b, data):
     i = data.draw(st.integers(1, a.order))
-    assert compose_square(a, i, b).valid
+    assert compose(a, CompositionKind.SQUARE, i, b).valid
 
 
 @given(poset_matrices(max_order=5), poset_matrices(max_order=5), st.data())
@@ -189,7 +186,7 @@ def test_triangle_blocks_are_subsets_of_square(a, b, data):
     # both restricted operations only ever clear bits of the full-inheritance
     # composition, never set new ones
     i = data.draw(st.integers(1, a.order))
-    square = compose_square(a, i, b)
+    square = compose(a, CompositionKind.SQUARE, i, b)
     for kind in (CompositionKind.TRI_UP, CompositionKind.TRI_DOWN):
         rows = compose(a, kind, i, b).rows
         for y in range(len(rows)):
@@ -200,8 +197,8 @@ def test_triangle_blocks_are_subsets_of_square(a, b, data):
 @given(poset_matrices(max_order=4), poset_matrices(max_order=4), st.data())
 def test_square_duality_law(a, b, data):
     i = data.draw(st.integers(1, a.order))
-    left = compose_square(a, i, b).poset()
-    right = compose_square(dual(a), a.order - i + 1, dual(b)).poset()
+    left = compose(a, CompositionKind.SQUARE, i, b).poset()
+    right = compose(dual(a), CompositionKind.SQUARE, a.order - i + 1, dual(b)).poset()
     assert canonical_form(dual(left)) == canonical_form(right)
 
 
@@ -228,8 +225,8 @@ def test_duality_law_with_self_dual_right_operand(a, data):
     i = data.draw(st.integers(1, a.order))
     j = a.order - i + 1
     for b in (chain(2), antichain(2)):
-        left = compose_square(a, i, b).poset()
-        right = compose_square(dual(a), j, b).poset()
+        left = compose(a, CompositionKind.SQUARE, i, b).poset()
+        right = compose(dual(a), CompositionKind.SQUARE, j, b).poset()
         assert canonical_form(dual(left)) == canonical_form(right)
 
 
@@ -238,7 +235,7 @@ def test_disconnected_left_operand_forces_disconnection(a, b, data):
     from posetmat import is_connected
 
     i = data.draw(st.integers(1, a.order))
-    out = compose_square(a, i, b).poset()
+    out = compose(a, CompositionKind.SQUARE, i, b).poset()
     if not is_connected(a):
         assert not is_connected(out)
     elif is_connected(b) or a.order > 1:
@@ -246,6 +243,6 @@ def test_disconnected_left_operand_forces_disconnection(a, b, data):
 
 
 def test_composition_of_chains_is_a_chain():
-    out = compose_square(chain(3), 2, chain(4))
+    out = compose(chain(3), CompositionKind.SQUARE, 2, chain(4))
     assert out.valid
     assert out.rows == chain(6).rel

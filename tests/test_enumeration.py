@@ -21,6 +21,7 @@ from posetmat import (
 )
 from posetmat import enumeration
 from posetmat.canon import packed_from_masks
+from posetmat.cli import main
 from posetmat.core import default_labels
 from posetmat.enumeration import (
     MAX_ORACLE_ORDER,
@@ -194,6 +195,32 @@ def test_closure_invalid_outputs_are_counted():
     assert closure[5].invalid_outputs > 0
 
 
+@pytest.fixture(scope="module")
+def closure7():
+    return composition_closure(7)
+
+
+def closure_table(closure):
+    return {n: (c.total, c.connected_count, c.invalid_outputs) for n, c in closure.items()}
+
+
+def test_closure_table_through_order7(closure7):
+    # (total, connected, invalid_outputs) per order
+    assert closure_table(closure7) == {
+        2: (2, 1, 0),
+        3: (5, 3, 0),
+        4: (16, 10, 0),
+        5: (63, 44, 4),
+        6: (315, 235, 62),
+        7: (1960, 1568, 706),
+    }
+
+
+@pytest.mark.slow
+def test_closure_table_order8():
+    assert closure_table(composition_closure(8))[8] == (14779, 12380, 7598)
+
+
 def test_recipes_evaluate_into_their_own_class():
     closure = composition_closure(5)
     base_names = {"C2", "I2"}
@@ -248,8 +275,8 @@ def test_representatives_are_what_their_recipes_rebuild():
 
 
 @pytest.mark.slow
-def test_representatives_are_what_their_recipes_rebuild_order7():
-    assert_representatives_are_what_their_recipes_rebuild(composition_closure(7), [7])
+def test_representatives_are_what_their_recipes_rebuild_order7(closure7):
+    assert_representatives_are_what_their_recipes_rebuild(closure7, [7])
 
 
 def test_closure_composes_without_replaying_recipes(monkeypatch):
@@ -389,8 +416,9 @@ def test_count_table_rows_equal_per_order_oracle_counts():
         lambda: enumerate_oracle(6, workers=2),
         lambda: composition_closure(5, workers=2),
         lambda: count_table(5, method="both", workers=2),
+        lambda: main(["enumerate", "--order", "5", "--method", "both", "--workers", "2"]),
     ],
-    ids=["enumerate_oracle", "composition_closure", "count_table"],
+    ids=["enumerate_oracle", "composition_closure", "count_table", "cli_enumerate"],
 )
 def test_one_pool_serves_every_level_of_a_call(monkeypatch, call):
     opened = []

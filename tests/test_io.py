@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given
 
 from posetmat import (
+    CompositionKind,
     MatrixParseError,
     PosetMatrix,
     RecipeError,
     StorageOrderError,
     canonical_form,
-    compose_square,
+    compose,
     dual,
     eval_recipe,
     named_operands,
@@ -119,7 +120,7 @@ def test_recipe_matches_compose_square(a, b):
     table = {"X": a, "Y": b}
     for i in range(1, a.order + 1):
         via_recipe = eval_recipe(parse_recipe(f"X sq@{i} Y", table))
-        direct = compose_square(a, i, b)
+        direct = compose(a, CompositionKind.SQUARE, i, b)
         assert via_recipe.rows == direct.rows
 
 
@@ -134,11 +135,11 @@ def test_recipe_star_means_dual_unless_defined():
     operands = named_operands()
     # D* is not a table entry, so the star builds the dual on the fly
     out = eval_recipe(parse_recipe("D* sq@1 C2", operands))
-    ref = compose_square(dual(operands["D"]), 1, operands["C2"])
+    ref = compose(dual(operands["D"]), CompositionKind.SQUARE, 1, operands["C2"])
     assert out.rows == ref.rows
     # A* is a table entry and shadows the derived dual
     table_a_star = eval_recipe(parse_recipe("A* sq@1 C2", operands))
-    literal = compose_square(operands["A*"], 1, operands["C2"])
+    literal = compose(operands["A*"], CompositionKind.SQUARE, 1, operands["C2"])
     assert table_a_star.rows == literal.rows
 
 
@@ -222,7 +223,7 @@ def test_invalid_top_level_returns_result_not_error():
 def test_recipe_canonical_agreement_with_direct_composition():
     operands = named_operands()
     out = eval_recipe(parse_recipe("B sq@4 I2", operands)).poset()
-    direct = compose_square(operands["B"], 4, operands["I2"]).poset()
+    direct = compose(operands["B"], CompositionKind.SQUARE, 4, operands["I2"]).poset()
     assert canonical_form(out) == canonical_form(direct)
 
 
