@@ -49,8 +49,8 @@ def _load(source: str) -> PosetMatrix:
 
 
 def _cmd_validate(args) -> int:
-    rows, labels = parse_candidate(_read_text(args.matrix))
-    report = validate_axioms(rows, labels)
+    rows, _ = parse_candidate(_read_text(args.matrix))
+    report = validate_axioms(rows)
     print(report.summary())
     if report.ok and not report.lower_triangular_ok:
         print("hint: storage order is not a linear extension; see `normalize`")
@@ -67,8 +67,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_minmax(args) -> int:
     m = _load(args.matrix)
-    print("min:", " ".join(minimal_elements(m).names))
-    print("max:", " ".join(maximal_elements(m).names))
+    print("min:", " ".join(m.labels[p] for p in minimal_elements(m)))
+    print("max:", " ".join(m.labels[p] for p in maximal_elements(m)))
     return OK
 
 
@@ -244,7 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidPosetError as err:
         print(f"error: {err}", file=sys.stderr)
         return DOMAIN_FAIL
-    except (MatrixParseError, RecipeError, MalformedMatrixError, ValueError, KeyError, OSError) as err:
+    except KeyError as err:  # str() of a KeyError quotes its message
+        print("error:", *err.args, file=sys.stderr)
+        return USAGE_FAIL
+    except (MatrixParseError, RecipeError, MalformedMatrixError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_FAIL
 

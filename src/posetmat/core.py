@@ -11,9 +11,9 @@ order axioms under some other row order can be repaired with
 The package reads only the masks.  The 0/1 rows of `rows_from_masks`
 (``PosetMatrix.rel``) are kept for callers outside it that index cells.
 
-Positions are 0-based internally.  Labels are distinct strings, non-empty
-and free of the file format's separators (whitespace, '#'), riding along
-for display; they default to "1".."n".
+Elements are named by their 0-based positions.  Labels are distinct
+strings, non-empty and free of the file format's separators (whitespace,
+'#'), riding along for display; they default to "1".."n".
 """
 from __future__ import annotations
 
@@ -113,7 +113,8 @@ def _coerce_masks(candidate: Sequence[Sequence[int]]) -> Masks:
         for z, cell in enumerate(row):
             if cell not in (0, 1):
                 raise MalformedMatrixError(f"entry ({y},{z}) is {cell!r}, expected 0 or 1")
-    return tuple(sum(cell << z for z, cell in enumerate(row)) for row in rows)
+    # By value, so 1.0 and True read as 1, as the check above accepts them.
+    return tuple(sum(1 << z for z, cell in enumerate(row) if cell) for row in rows)
 
 
 def _coerce_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
@@ -130,15 +131,13 @@ def _coerce_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
     return out
 
 
-def validate_axioms(candidate: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> ValidationReport:
+def validate_axioms(candidate: Sequence[Sequence[int]]) -> ValidationReport:
     """Check reflexivity, antisymmetry and transitivity on a raw candidate.
 
     Collects every violation with a concrete witness; raises
     MalformedMatrixError only when the input is not a square 0/1 matrix.
     """
-    masks = _coerce_masks(candidate)
-    _coerce_labels(len(masks), labels)
-    return validate_masks(masks)
+    return validate_masks(_coerce_masks(candidate))
 
 
 def _order_axioms_hold(
@@ -256,46 +255,14 @@ class PosetMatrix:
         return "\n".join([head] + body)
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    """A subset of positions of some matrix, displayed through its labels."""
-
-    positions: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    @staticmethod
-    def of(matrix: PosetMatrix, positions: Iterable[int]) -> "LabelSet":
-        pos = tuple(sorted(set(positions)))
-        for p in pos:
-            if not 0 <= p < matrix.order:
-                raise ValueError(f"position {p} out of range for order {matrix.order}")
-        return LabelSet(pos, matrix.labels)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.labels[p] for p in self.positions)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __contains__(self, position: int) -> bool:
-        return position in self.positions
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(self.names) + "}"
-
-
-def minimal_elements(m: PosetMatrix) -> LabelSet:
+def minimal_elements(m: PosetMatrix) -> tuple[int, ...]:
     """Positions whose row is zero off the diagonal (nothing below them)."""
-    return LabelSet(tuple(_bits(m.minimal)), m.labels)
+    return tuple(_bits(m.minimal))
 
 
-def maximal_elements(m: PosetMatrix) -> LabelSet:
+def maximal_elements(m: PosetMatrix) -> tuple[int, ...]:
     """Positions whose column is zero off the diagonal (nothing above them)."""
-    return LabelSet(tuple(_bits(m.maximal)), m.labels)
+    return tuple(_bits(m.maximal))
 
 
 def _principal(masks: Masks, positions: Sequence[int]) -> Masks:
@@ -316,9 +283,12 @@ def dual(m: PosetMatrix) -> PosetMatrix:
     return PosetMatrix(_principal(m.up, range(m.order - 1, -1, -1)), tuple(reversed(m.labels)))
 
 
-def induced_subposet(m: PosetMatrix, subset: LabelSet | Iterable[int]) -> PosetMatrix:
+def induced_subposet(m: PosetMatrix, positions: Iterable[int]) -> PosetMatrix:
     """Principal submatrix on the given positions, relative order retained."""
-    pos = LabelSet.of(m, subset).positions
+    pos = sorted(set(positions))
+    for p in pos:
+        if not 0 <= p < m.order:
+            raise ValueError(f"position {p} out of range for order {m.order}")
     if not pos:
         raise ValueError("empty subset has no induced subposet")
     return PosetMatrix(_principal(m.masks, pos), tuple(m.labels[p] for p in pos))

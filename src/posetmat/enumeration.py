@@ -39,8 +39,7 @@ from .canon import CanonicalKey, canonical_form, packed_from_masks
 from .compose import CompositionKind, compose
 from .core import PosetMatrix, dual, is_connected
 from .generators import (
-    C2,
-    I2,
+    GENERATORS,
     ORDER5_DUAL_PAIRS,
     ORDER5_RECIPES,
     ORDER5_SELF_DUAL_ROWS,
@@ -242,7 +241,7 @@ def _compose_chunk(
 
 def base_catalog() -> ClassCatalog:
     """The order-2 generators as a seed catalog; each is its own canonical representative."""
-    return _catalog(2, {canonical_form(m).packed: (r, m) for m, r in ((C2, "C2"), (I2, "I2"))})
+    return _catalog(2, {canonical_form(m).packed: (r, m) for r, m in GENERATORS.items()})
 
 
 def _compose_order(

@@ -29,6 +29,7 @@ def antichain(n: int) -> PosetMatrix:
 
 C2 = chain(2)
 I2 = antichain(2)
+GENERATORS: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
 
 _C2: Rows = ((1, 0), (1, 1))
 _I2: Rows = ((1, 0), (0, 1))
@@ -139,7 +140,7 @@ ORDER4_CONNECTED: tuple[Construction, ...] = (
 
 def named_operands() -> dict[str, PosetMatrix]:
     """The order-4 class representatives A..G, A*..C* plus the generators."""
-    table: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
+    table = dict(GENERATORS)
     for item in ORDER4_CONNECTED:
         table[item.name] = PosetMatrix.from_rows(item.expected)
     return table

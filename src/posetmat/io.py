@@ -37,7 +37,7 @@ from .core import (
     dual,
     hasse_edges,
 )
-from .generators import C2, I2
+from .generators import GENERATORS
 
 
 class MatrixParseError(Exception):
@@ -156,8 +156,6 @@ _TOKEN = re.compile(
     r"|(?P<paren>[()])|(?P<bad>\S))"
 )
 
-BUILTINS: dict[str, PosetMatrix] = {"C2": C2, "I2": I2}
-
 # An order-n closure recipe nests at most n-2 deep; deeper input is refused
 # before parsing or evaluating it can exhaust the interpreter's stack.
 MAX_RECIPE_DEPTH = 100
@@ -228,11 +226,11 @@ class _Parser:
 def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) -> RecipeCall:
     """Parse a recipe expression, resolving every name immediately.
 
-    The symbol table extends (and may shadow) the C2/I2 builtins.
+    The symbol table extends (and may shadow) the C2/I2 `GENERATORS`.
     Parentheses nested deeper than MAX_RECIPE_DEPTH raise RecipeError,
     and so does a bare name, even in parentheses: a recipe composes.
     """
-    table = dict(BUILTINS)
+    table = dict(GENERATORS)
     if symbols:
         table.update(symbols)
     tokens = _tokenize(text)

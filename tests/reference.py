@@ -19,11 +19,20 @@ lower-triangular matrix of an order with it, the route the one-point
 extension oracle in `posetmat.enumeration` replaced; tests compare the
 oracle's classes against it, so that walk shares no ideal generator
 with the oracle.
+
+`square_closure` closes the generators C2 and I2 under square
+composition alone, through `posetmat.compose`.  `sq@i` substitutes B for
+element i of A, so the closure is the series-parallel posets, which are
+exactly the posets with no induced N (Valdes, Tarjan & Lawler, SIAM J.
+Comput. 1982; OEIS A003430).  `has_induced_n` tests for an N by
+bitmasks, so tests can check that identity against the oracle's classes.
 """
 from typing import Iterator
 
+import posetmat
 from posetmat.core import ValidationReport
 from posetmat.enumeration import MAX_ORACLE_ORDER
+from posetmat.generators import GENERATORS
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -234,3 +243,31 @@ def iter_matrices(n: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
     yield from _complete((1,), n)
+
+
+def square_closure(max_n: int) -> dict[int, dict[posetmat.CanonicalKey, posetmat.PosetMatrix]]:
+    """Classes of orders 2..max_n reached from C2 and I2 by `sq` alone, one representative each."""
+    levels = {2: {posetmat.canonical_form(m): m for m in GENERATORS.values()}}
+    for n in range(3, max_n + 1):
+        level = levels[n] = {}
+        for a_order in range(2, n):
+            for a in levels[a_order].values():
+                for b in levels[n + 1 - a_order].values():
+                    for i in range(1, a_order + 1):
+                        m = posetmat.compose(a, posetmat.CompositionKind.SQUARE, i, b, relabel=True).poset()
+                        level.setdefault(posetmat.canonical_form(m), m)
+    return levels
+
+
+def has_induced_n(m) -> bool:
+    """Whether some a, b < c and b < d hold with no other relation among a, b, c, d."""
+    for c, down in enumerate(m.masks):
+        for b in range(m.order):
+            if b == c or not down >> b & 1:
+                continue
+            lows = down & ~(m.masks[b] | m.up[b])  # a < c, a incomparable to b
+            highs = m.up[b] & ~(down | m.up[c])  # d > b, d incomparable to c
+            # Such a and d are incomparable unless a < d: d < a would give b < a.
+            if any(highs >> d & 1 and lows & ~m.masks[d] for d in range(m.order)):
+                return True
+    return False

@@ -74,6 +74,10 @@ def test_minmax(tmp_path, capsys):
     code, out, err = run(capsys, "minmax", put(tmp_path, "m.pm", VEE))
     assert code == 0
     assert out == "min: 1 2\nmax: 3\n"
+    labelled = VEE.replace("\n", "\nlabels: r s t\n", 1)
+    code, out, err = run(capsys, "minmax", put(tmp_path, "l.pm", labelled))
+    assert code == 0
+    assert out == "min: r s\nmax: t\n"
 
 
 def test_dual_reverses_the_chain(tmp_path, capsys):
@@ -124,6 +128,13 @@ def test_sub_restricts_to_named_elements(tmp_path, capsys):
     )
     assert code == 0
     assert out == "2\nlabels: a c\n1 0\n1 1\n"
+
+
+def test_sub_names_an_unknown_label_without_extra_quotes(tmp_path, capsys):
+    code, out, err = run(capsys, "sub", "--labels", "zz", put(tmp_path, "m.pm", CHAIN3))
+    assert code == 2
+    assert out == ""
+    assert err == "error: no element labelled 'zz'\n"
 
 
 def test_compose_square_keeps_provenance_labels(tmp_path, capsys):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from posetmat import (
     InvalidPosetError,
-    LabelSet,
     MalformedMatrixError,
     PosetMatrix,
     StorageOrderError,
@@ -64,6 +63,13 @@ def test_validate_collects_all_violations_not_just_first():
     assert "reflexive" in kinds and "transitive" in kinds
 
 
+def test_float_and_bool_cells_read_as_0_and_1():
+    assert PosetMatrix.from_rows(((1.0, 0.0), (True, 1))) == PosetMatrix.from_rows(((1, 0), (1, 1)))
+    assert validate_axioms(((1.0, 1.0), (1.0, True))) == validate_axioms(((1, 1), (1, 1)))
+    upper = ((1.0, 1.0), (0.0, 1.0))
+    assert normalize_linear_extension(upper) == normalize_linear_extension(((1, 1), (0, 1)))
+
+
 @pytest.mark.parametrize("rows", [
     (),
     ((1, 0), (1,)),
@@ -106,25 +112,12 @@ def test_str_shows_rows_and_labels():
 
 def test_minimal_maximal_on_hand_examples():
     m = PosetMatrix.from_rows(VEE)
-    assert minimal_elements(m).positions == (0,)
-    assert maximal_elements(m).positions == (1, 2)
-    assert minimal_elements(m).names == ("1",)
+    assert minimal_elements(m) == (0,)
+    assert maximal_elements(m) == (1, 2)
+    assert [m.labels[p] for p in minimal_elements(m)] == ["1"]
     a = PosetMatrix.from_rows(TWO_CHAINS)
-    assert minimal_elements(a).positions == (0, 2)
-    assert maximal_elements(a).positions == (1, 3)
-
-
-def test_label_set_iterates_positions_and_renders_names():
-    m = PosetMatrix.from_rows(VEE, labels=("r", "s", "t"))
-    tops = maximal_elements(m)
-    assert list(tops) == [1, 2]
-    assert len(tops) == 2
-    assert 1 in tops and 0 not in tops
-    assert tops.names == ("s", "t")
-    assert str(tops) == "{s, t}"
-    assert LabelSet.of(m, [2, 1]).positions == (1, 2)
-    with pytest.raises(ValueError):
-        LabelSet.of(m, [7])
+    assert minimal_elements(a) == (0, 2)
+    assert maximal_elements(a) == (1, 3)
 
 
 @given(poset_matrices(max_order=6))
@@ -138,8 +131,8 @@ def test_minimal_maximal_match_definition(m):
         z for z in range(n)
         if all(not m.rel[y][z] for y in range(n) if y != z)
     )
-    assert minimal_elements(m).positions == expect_min
-    assert maximal_elements(m).positions == expect_max
+    assert minimal_elements(m) == expect_min
+    assert maximal_elements(m) == expect_max
 
 
 @given(poset_matrices(max_order=6))
@@ -160,8 +153,8 @@ def test_dual_reverses_relation_and_labels(m):
 @given(poset_matrices(max_order=6))
 def test_dual_swaps_minimal_and_maximal(m):
     n = m.order
-    mins = {n - 1 - p for p in minimal_elements(m).positions}
-    assert set(maximal_elements(dual(m)).positions) == mins
+    mins = {n - 1 - p for p in minimal_elements(m)}
+    assert set(maximal_elements(dual(m))) == mins
 
 
 def test_dual_of_chain_is_chain():
@@ -236,6 +229,16 @@ def test_induced_subposet_of_chain():
     sub = induced_subposet(chain(5), (0, 2, 4))
     assert sub.rel == chain(3).rel
     assert sub.labels == ("1", "3", "5")
+
+
+def test_induced_subposet_sorts_dedupes_and_range_checks_positions():
+    m = PosetMatrix.from_rows(VEE, labels=("r", "s", "t"))
+    sub = induced_subposet(m, [2, 1, 2])
+    assert sub.labels == ("s", "t")
+    assert sub.masks == (0b01, 0b10)
+    for bad in (7, -1):
+        with pytest.raises(ValueError, match=f"position {bad} out of range for order 3"):
+            induced_subposet(m, [0, bad])
 
 
 def test_induced_subposet_rejects_empty_selection():

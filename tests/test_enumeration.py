@@ -28,10 +28,11 @@ from posetmat.enumeration import (
     _catalog_from_packed,
     _ideals,
     base_catalog,
+    method_catalogs,
 )
 
 from conftest import iter_all_posets
-from reference import ideals, iter_matrices
+from reference import has_induced_n, ideals, iter_matrices, square_closure
 
 # Naturally-labeled matrix counts; the class counts live in KNOWN_COUNTS.
 LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -219,6 +220,31 @@ def test_closure_table_through_order7(closure7):
 @pytest.mark.slow
 def test_closure_table_order8():
     assert closure_table(composition_closure(8))[8] == (14779, 12380, 7598)
+
+
+# Series-parallel posets by order (OEIS A003430).
+SERIES_PARALLEL_COUNTS = {2: 2, 3: 5, 4: 15, 5: 48, 6: 167, 7: 602, 8: 2256}
+
+
+def n_free_keys(catalog):
+    return {key for key in catalog.keys() if not has_induced_n(key.matrix())}
+
+
+def test_square_closure_is_the_n_free_classes(closure7):
+    square = square_closure(7)
+    oracle = method_catalogs(7, "oracle", 1)["oracle"]
+    for n in range(2, 8):
+        n_free = n_free_keys(oracle[n])
+        assert len(square[n]) == SERIES_PARALLEL_COUNTS[n]
+        assert square[n].keys() == n_free
+        assert n_free <= closure7[n].keys()
+
+
+@pytest.mark.slow
+def test_square_closure_is_the_n_free_classes_order8():
+    square = square_closure(8)[8]
+    assert len(square) == SERIES_PARALLEL_COUNTS[8]
+    assert square.keys() == n_free_keys(enumerate_oracle(8))
 
 
 def test_recipes_evaluate_into_their_own_class():
