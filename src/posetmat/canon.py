@@ -65,6 +65,32 @@ exactly one parent, its canonical parent R* topped with the strict
 down-set of the last row of its canonical matrix; two ideals of R* can
 still give the same class.
 
+The search record.  One search returns, besides the least rows, the
+held leaf and the automorphisms it met, so no caller searches twice:
+
+* `labelling[p]` is the input element the held leaf places at position
+  p.  Placing those elements in that order gives exactly the least rows,
+  so it is a canonical labelling; through it, a map on input elements
+  becomes a map on the positions of the canonical matrix.
+* `generators` are permutations of the input elements, each an
+  automorphism.  Every gamma taken between two leaves is one, as above.
+  So is every twin swap.  Twins t and e are incomparable (t < e would
+  put t in e's strict down-set, which is t's own), and every other
+  element is below, above or apart from t exactly as from e, so
+  exchanging them keeps every relation.  The search places only the
+  least unplaced twin, so it never meets two leaves that differ by a
+  twin swap; instead it records the swap of each twin with the previous
+  one, and those generate every reordering of a twin class.
+
+The generators span a subgroup of Aut(P).  On every class of orders 1
+to 6 its position orbits are those of Aut(P) (a test compares them with
+brute force), but no caller relies on that.  A caller skips a choice only when some
+automorphism maps it onto a choice it keeps.  The two choices then build
+isomorphic matrices, so the skipped one adds no class, and that needs
+only that each generator is an automorphism, whatever group they span.
+With a smaller group the caller keeps more choices than it needs, never
+fewer.  The bounded mode returns a record only when it accepts.
+
 Candidate rows are built incrementally: `acc[e]` carries the output bits
 of e's placed strict down-set.  Placing e at position k sets the bit of
 column k in `acc` of every element above e, and removing e clears it,
@@ -77,9 +103,12 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Masks, PosetMatrix, default_labels, validate_masks
+
+# Permutations of a matrix's elements, each as the map x -> g[x].
+Generators = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -124,7 +153,7 @@ def _masks(n: int, packed: int) -> Masks:
     return tuple(int(format(row, f"0{n}b")[::-1], 2) for row in rows)
 
 
-def _orbit(mask: int, gens: list[list[int]]) -> int:
+def _orbit(mask: int, gens: Sequence[Sequence[int]]) -> int:
     """Closure of a set of elements (a bitmask) under the permutations `gens`."""
     todo = mask
     while todo:
@@ -139,9 +168,17 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
+class SearchRecord(NamedTuple):
+    """What one canonical search finds (see above)."""
+
+    rows: tuple[int, ...]  # the least rows, MSB = column 0
+    labelling: tuple[int, ...]  # the input element placed at each canonical position
+    generators: Generators  # automorphisms of the input: twin swaps, then those the search found
+
+
 def _minimal_row_ints(
     n: int, down: Sequence[int], up: Sequence[int], bound: Sequence[int] = ()
-) -> tuple[int, ...] | None:
+) -> SearchRecord | None:
     """Smallest output rows over all linear extensions; row ints are MSB=col 0.
 
     `down[e]`/`up[e]` are the strict down- and up-sets of element e as
@@ -153,16 +190,19 @@ def _minimal_row_ints(
     # needs[e]: what must be placed before e, its strict down-set and its lower-indexed twins.
     needs = []
     twins: dict[tuple[int, int], int] = {}  # (down, up) -> the elements seen with them
+    pairs = []  # (t, e): e and its last lower-indexed twin t
     for e in range(n):
         seen = twins.get((down[e], up[e]), 0)
         needs.append(down[e] | seen)
         twins[down[e], up[e]] = seen | 1 << e
+        if seen:
+            pairs.append((seen.bit_length() - 1, e))
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = list(bound) + [sentinel] * (n - bounded)
     chosen = [0] * n
     acc = [0] * n  # acc[e]: output-row bits of the placed part of e's strict down-set
-    autos: list[list[int]] = []  # automorphisms found, as maps gamma[x]
+    autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
 
     def rec(k: int, used: int) -> int:
@@ -202,7 +242,7 @@ def _minimal_row_ints(
                     gamma[held[i]] = chosen[i]
                     if d == n and held[i] != chosen[i]:
                         d = i
-                autos.append(gamma)
+                autos.append(tuple(gamma))
                 return d
             rest = up[e]
             while rest:
@@ -230,11 +270,20 @@ def _minimal_row_ints(
         raise ValueError(
             f"order {n} is too large for the canonical search (recursion limit {sys.getrecursionlimit()})"
         ) from None
-    return tuple(best)
+    return SearchRecord(tuple(best), tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos))
 
 
-def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = None) -> int | None:
-    """Canonical packed bit-string for a matrix given as low-bit row masks.
+# Twin swaps recur across inputs of one order, so records share them.
+@lru_cache(maxsize=1024)
+def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
+    """The permutation of n elements that exchanges t and e."""
+    g = list(range(n))
+    g[t], g[e] = e, t
+    return tuple(g)
+
+
+def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
+    """The search record of a matrix given as low-bit row masks.
 
     With `parent`, the packed key of an order n-1 class that is isomorphic
     to the matrix less some maximal element, the result is None unless
@@ -254,26 +303,54 @@ def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = Non
         # The parent's rows, one column narrower, widened by an empty last column.
         width = n - 1
         bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
-    rows = _minimal_row_ints(n, down, up, bound)
-    if rows is None:
-        return None
+    return _minimal_row_ints(n, down, up, bound)
+
+
+def packed_rows(n: int, rows: Sequence[int]) -> int:
+    """The rows of an n x n matrix as one bit-string, row 0 first."""
     packed = 0
     for row in rows:
         packed = (packed << n) | row
     return packed
 
 
-# Distinct matrices seen: 6,306 by the composition closure to order 7 and
+def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = None) -> int | None:
+    """Canonical packed bit-string for a matrix given as low-bit row masks, or None as above."""
+    record = canonical_search(n, row_masks, parent)
+    return None if record is None else packed_rows(n, record.rows)
+
+
+# Distinct matrices seen: 4,554 by the composition closure to order 7 and
 # 2,114 by a stream of 3,000 mixed library requests, so neither evicts; the
-# bound caps the memory of long-lived processes.
+# bound caps the memory of long-lived processes.  Only the packed key and
+# the generators are kept, and a matrix with no automorphism shares one
+# empty tuple, so an entry costs little more than its key.
 @lru_cache(maxsize=2**15)
-def _canonical_packed(masks: Masks) -> int:
-    return packed_from_masks(len(masks), masks)
+def _canonical_record(masks: Masks) -> tuple[int, Generators]:
+    n = len(masks)
+    record = canonical_search(n, masks)
+    return packed_rows(n, record.rows), record.generators
 
 
 def canonical_form(m: PosetMatrix) -> CanonicalKey:
     """Canonical key of the isomorphism class of `m`; labels are ignored."""
-    return CanonicalKey(m.order, _canonical_packed(m.masks))
+    return CanonicalKey(m.order, _canonical_record(m.masks)[0])
+
+
+def position_orbits(m: PosetMatrix) -> list[int]:
+    """Orbits of the positions of `m`, as bitmasks in order of their least position.
+
+    The group is the one generated by the automorphisms that the canonical
+    search of `m` found (read from the cache), a subgroup of Aut(m).
+    """
+    gens = _canonical_record(m.masks)[1]
+    orbits = []
+    covered = 0
+    for x in range(m.order):
+        if not covered >> x & 1:
+            orbits.append(_orbit(1 << x, gens))
+            covered |= orbits[-1]
+    return orbits
 
 
 def are_isomorphic(a: PosetMatrix, b: PosetMatrix) -> bool:

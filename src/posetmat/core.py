@@ -18,7 +18,7 @@ strings, non-empty and free of the file format's separators (whitespace,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Rows = tuple[tuple[int, ...], ...]
@@ -82,6 +82,8 @@ class ValidationReport:
 _VALID = ValidationReport(True, True, True, True, ())
 
 
+# The closure relabels every composition output, of a handful of orders.
+@lru_cache(maxsize=64)
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(k + 1) for k in range(n))
 

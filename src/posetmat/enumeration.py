@@ -11,14 +11,29 @@ Two independent routes:
   order k+1, and every such child is a valid matrix.  A child is kept
   only when its parent is its canonical parent, the class of the top-left
   block of its canonical matrix (see canon), so each class comes from one
-  parent and only that parent's children need deduplicating.
+  parent and only that parent's children need deduplicating.  Each kept
+  class carries the automorphisms its search found, moved into canonical
+  positions through the search's labelling.  An automorphism g of R maps
+  an ideal s onto the ideal g(s), and topping R over either gives
+  isomorphic children, so only the first ideal of each orbit is topped.
 
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
   order n reached by composing one class of order a with one of order
   n+1-a keeps one shortest recipe, and the output of that composition is
   its representative.  Representatives are composed from representatives,
-  so each one is exactly what its recipe rebuilds.
+  so each one is exactly what its recipe rebuilds.  An automorphism of A
+  that maps i to j keeps A's minimal and maximal elements, so
+  `A kind@i B` and `A kind@j B` are isomorphic, or both invalid, for each
+  kind.  Only the least position of each orbit of A's automorphisms
+  (found by its canonical search and read from the cache) is composed.
+  The others give the same class under a recipe that differs only in a
+  larger position, so it is no shorter and sorts later and never wins.
+  An invalid output counts once per position of its orbit.  So recipes,
+  representatives and `invalid_outputs` are those of composing every
+  position.
+
+Both skips are sound under any group of automorphisms (see canon).
 
 Both routes split their work (a level's parent representatives, or the
 pairs of operand classes) into independent chunks whose per-chunk results
@@ -35,7 +50,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .canon import CanonicalKey, canonical_form, packed_from_masks
+from .canon import (
+    CanonicalKey,
+    Generators,
+    SearchRecord,
+    canonical_form,
+    canonical_search,
+    packed_rows,
+    position_orbits,
+)
 from .compose import CompositionKind, compose
 from .core import PosetMatrix, dual, is_connected
 from .generators import (
@@ -57,9 +80,11 @@ KNOWN_COUNTS: dict[int, tuple[int, int]] = {
     6: (318, 238),
     7: (2045, 1650),
     8: (16999, 14512),
+    9: (183231, 163341),
 }
 
 MAX_ORACLE_ORDER = 8
+MAX_CLOSURE_ORDER = 8
 
 
 class CatalogIntegrityError(Exception):
@@ -169,31 +194,85 @@ def _catalog_from_packed(order: int, packed_keys: Iterable[int]) -> ClassCatalog
     return _catalog(order, {p: (None, CanonicalKey(order, p).matrix()) for p in packed_keys})
 
 
-def _extend_chunk(args: tuple[list[int], int]) -> list[int]:
-    """Keys of the order-(k+1) classes whose canonical parent is one of the chunk's classes.
+def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list[int]:
+    """The first ideal, in `_ideals` order, of each orbit of the ideals under `gens`."""
+    ideals = _ideals(masks, k)
+    if not gens:
+        return ideals
+    leaders = []
+    seen: set[int] = set()
+    for s in ideals:
+        if s in seen:
+            continue
+        leaders.append(s)
+        seen.add(s)
+        orbit = [s]
+        for t in orbit:
+            for g in gens:
+                image = 0
+                for x in range(k):
+                    if t >> x & 1:
+                        image |= 1 << g[x]
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return leaders
 
-    Each parent tops its representative with one ideal at a time and keeps
-    the child only if the child's canonical form begins with the parent's
-    rows.  Two ideals of one parent can give the same class, so each
-    parent dedupes its own children; no two parents keep the same class.
+
+def _extend_chunk(
+    args: tuple[list[tuple[int, Generators]], int, bool]
+) -> tuple[list[int], list[Generators]]:
+    """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
+
+    Each parent, a packed key with generators of automorphisms of its
+    canonical matrix, tops its representative with one ideal per orbit of
+    those generators and keeps the child only if the child's canonical
+    form begins with the parent's rows.  Two orbits of one parent can
+    still give the same class, so each parent dedupes its own children;
+    no two parents keep the same class.  Returns the kept keys and, unless
+    `last` says no level follows, their search's generators moved into
+    canonical positions.
     """
-    parents, k = args
-    found: list[int] = []
-    for packed in parents:
+    parents, k, last = args
+    keys: list[int] = []
+    generators: list[Generators] = []
+    for packed, gens in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         masks = CanonicalKey(k, packed).matrix().masks
-        children = {packed_from_masks(k + 1, masks + (s | 1 << k,), packed) for s in _ideals(masks, k)}
-        children.discard(None)
-        found += children
-    return found
+        children: dict[int, Generators] = {}
+        for s in _ideal_orbit_leaders(masks, k, gens):
+            record = canonical_search(k + 1, masks + (s | 1 << k,), packed)
+            if record is not None:
+                child = packed_rows(k + 1, record.rows)
+                if child not in children:
+                    children[child] = () if last else _in_canonical_positions(record)
+        keys += children
+        if not last:
+            generators += children.values()
+    return keys, generators
+
+
+def _in_canonical_positions(record: SearchRecord) -> Generators:
+    """The record's generators as maps on canonical positions, through its labelling."""
+    where = [0] * len(record.labelling)
+    for p, e in enumerate(record.labelling):
+        where[e] = p
+    return tuple(tuple(where[g[e]] for e in record.labelling) for g in record.generators)
 
 
 def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[int]]:
     """Packed canonical keys of every class of orders 1..n, one list per order."""
     levels = [[1]]  # the one-element poset; its 1x1 matrix packs to 1
+    parents: list[tuple[int, Generators]] = [(1, ())]
     for k in range(1, n):
-        levels.append([p for chunk in chunk_map(_extend_chunk, levels[-1], k) for p in chunk])
+        keys: list[int] = []
+        generators: list[Generators] = []
+        for chunk_keys, chunk_generators in chunk_map(_extend_chunk, parents, k, k + 1 == n):
+            keys += chunk_keys
+            generators += chunk_generators
+        levels.append(keys)
+        parents = list(zip(keys, generators))
     return levels
 
 
@@ -221,17 +300,24 @@ def _offer(
 def _compose_chunk(
     args: tuple[list[tuple[CatalogEntry, CatalogEntry]]]
 ) -> tuple[dict[int, tuple[str, PosetMatrix]], int]:
-    """Every composition `a kind@i b` of the chunk's operand pairs, best recipe per class."""
+    """Every composition `a kind@i b` of the chunk's operand pairs, best recipe per class.
+
+    Only the least position of each orbit of a's automorphisms is
+    composed (see the module docstring); an invalid output counts once
+    per position of its orbit.
+    """
     (pairs,) = args
     best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
     for a, b in pairs:
+        orbits = position_orbits(a.representative)
         for kind in CompositionKind:
-            for i in range(1, a.representative.order + 1):
+            for orbit in orbits:
+                i = (orbit & -orbit).bit_length()  # the orbit's least position, 1-based
                 # Representatives carry default labels, so provenance ones are never built.
                 result = compose(a.representative, kind, i, b.representative, relabel=True)
                 if not result.valid:
-                    invalid += 1
+                    invalid += bin(orbit).count("1")
                     continue
                 matrix = result.poset()
                 recipe = f"{_wrap(a.recipe)} {kind.value}@{i} {_wrap(b.recipe)}"
@@ -279,8 +365,8 @@ def composition_closure(max_n: int, workers: int = 1) -> dict[int, ClassCatalog]
 
 
 def _closure(max_n: int, chunk_map: _ChunkMap) -> dict[int, ClassCatalog]:
-    if not 2 <= max_n <= MAX_ORACLE_ORDER:
-        raise ValueError(f"closure order must be 2..{MAX_ORACLE_ORDER}, got {max_n}")
+    if not 2 <= max_n <= MAX_CLOSURE_ORDER:
+        raise ValueError(f"closure order must be 2..{MAX_CLOSURE_ORDER}, got {max_n}")
     catalogs: dict[int, ClassCatalog] = {2: base_catalog()}
     for n in range(3, max_n + 1):
         catalogs[n] = _compose_order(n, catalogs, chunk_map)
@@ -396,14 +482,17 @@ def method_catalogs(max_n: int, method: str, workers: int) -> dict[str, dict[int
     """Catalogs by order up to max_n, per route of the method ("oracle", "compose", "both").
 
     The oracle's come first.  One walk builds every oracle order, and one
-    pool serves both routes.  The closure refuses order 1, the composition
-    identity, not a product.
+    pool serves both routes.  An order above the cap of a route the method
+    takes is refused before any work.  The closure refuses order 1, the
+    composition identity, not a product.
     """
-    if method not in ("oracle", "compose", "both"):
+    caps = {"oracle": MAX_ORACLE_ORDER, "compose": MAX_CLOSURE_ORDER}
+    if method not in (*caps, "both"):
         raise ValueError(f"unknown method {method!r}")
-    if not 1 <= max_n <= MAX_ORACLE_ORDER:
+    cap = min(caps.values()) if method == "both" else caps[method]
+    if not 1 <= max_n <= cap:
         # Refuse before the smaller orders are computed, not after.
-        raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {max_n}")
+        raise ValueError(f"order must be 1..{cap}, got {max_n}")
     routes: dict[str, dict[int, ClassCatalog]] = {}
     with _ChunkMap(workers) as chunk_map:
         if method != "compose":

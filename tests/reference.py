@@ -20,6 +20,12 @@ extension oracle in `posetmat.enumeration` replaced; tests compare the
 oracle's classes against it, so that walk shares no ideal generator
 with the oracle.
 
+`automorphism_orbits` finds the orbits of the whole automorphism group
+by asking, for each pair of positions, whether some automorphism maps
+one to the other, with a backtracking search that shares nothing with
+the canonical search; tests compare the orbits of the generators that
+search records against it.
+
 `square_closure` closes the generators C2 and I2 under square
 composition alone, through `posetmat.compose`.  `sq@i` substitutes B for
 element i of A, so the closure is the series-parallel posets, which are
@@ -271,3 +277,43 @@ def has_induced_n(m) -> bool:
             if any(highs >> d & 1 and lows & ~m.masks[d] for d in range(m.order)):
                 return True
     return False
+
+
+def _maps_onto(masks, x: int, y: int) -> bool:
+    """Whether some automorphism of the poset with these row masks maps x to y."""
+    n = len(masks)
+    image = [-1] * n
+    order = [x] + [e for e in range(n) if e != x]
+
+    def fits(u: int, v: int) -> bool:
+        return all(
+            image[w] < 0
+            or (masks[u] >> w & 1, masks[w] >> u & 1) == (masks[v] >> image[w] & 1, masks[image[w]] >> v & 1)
+            for w in range(n)
+        )
+
+    def extend(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        u = order[i]
+        for v in [y] if i == 0 else range(n):
+            if not used >> v & 1 and fits(u, v):
+                image[u] = v
+                if extend(i + 1, used | 1 << v):
+                    return True
+                image[u] = -1
+        return False
+
+    return extend(0, 0)
+
+
+def automorphism_orbits(masks) -> list[int]:
+    """Orbits of the positions under every automorphism, as bitmasks by least position."""
+    orbits = []
+    covered = 0
+    for x in range(len(masks)):
+        if not covered >> x & 1:
+            orbit = sum(1 << y for y in range(x, len(masks)) if _maps_onto(masks, x, y))
+            orbits.append(orbit)
+            covered |= orbit
+    return orbits

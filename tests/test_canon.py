@@ -10,14 +10,15 @@ from posetmat import (
     PosetMatrix,
     are_isomorphic,
     canonical_form,
+    composition_closure,
     dual,
     normalize_linear_extension,
 )
-from posetmat.canon import packed_from_masks
+from posetmat.canon import canonical_search, packed_from_masks, packed_rows, position_orbits
 from posetmat.generators import antichain, chain
 
 import reference
-from reference import iter_matrices
+from reference import automorphism_orbits, iter_matrices
 from conftest import brute_canonical_packed, close_down, iter_all_posets, poset_matrices
 
 
@@ -119,9 +120,9 @@ def test_chain_canonical_bits_are_full_lower_triangle():
 
 
 def test_canonical_cache_is_bounded():
-    from posetmat.canon import _canonical_packed
+    from posetmat.canon import _canonical_record
 
-    assert isinstance(_canonical_packed.cache_info().maxsize, int)
+    assert isinstance(_canonical_record.cache_info().maxsize, int)
 
 
 # Symmetric families and random posets, each as strict down-sets over
@@ -315,3 +316,80 @@ def test_symmetric_families_are_bounded_and_label_free(name, k, down):
         elapsed = time.perf_counter() - start
         assert elapsed < STRESS_BOUND_S, f"{name} k={k}: {elapsed:.2f} s"
     assert len(keys) == 1
+
+
+# The search record: labelling and generators (see the canon module docstring).
+
+
+def is_automorphism(masks, g) -> bool:
+    n = len(masks)
+    return sorted(g) == list(range(n)) and all(
+        masks[y] >> z & 1 == masks[g[y]] >> g[z] & 1 for y in range(n) for z in range(n)
+    )
+
+
+def assert_record_holds(masks):
+    n = len(masks)
+    record = canonical_search(n, masks)
+    assert packed_rows(n, record.rows) == packed_from_masks(n, masks)
+    # Placing labelling[p] at position p gives the least rows.
+    at = record.labelling
+    rows = tuple(sum(1 << (n - 1 - q) for q in range(n) if masks[at[p]] >> at[q] & 1) for p in range(n))
+    assert rows == record.rows, masks
+    for g in record.generators:
+        assert is_automorphism(masks, g), (masks, g)
+
+
+def test_record_on_every_labelled_matrix():
+    for n in range(1, 7):
+        for masks in iter_matrices(n):
+            assert_record_holds(masks)
+
+
+@pytest.mark.parametrize(
+    "name, k, down", REFERENCE_FAMILIES, ids=[f"{name}-{k}" for name, k, _ in REFERENCE_FAMILIES]
+)
+def test_record_on_relabelled_families(name, k, down):
+    rng = random.Random(f"record-{name}-{k}")
+    for _ in range(3):
+        assert_record_holds(relabelled_masks(down, rng))
+
+
+def test_record_on_random_posets():
+    rng = random.Random("record")
+    for n in range(8, 13):
+        for density in (0.2, 0.35, 0.5):
+            assert_record_holds(relabelled_masks(random_down(rng, n, density), rng))
+
+
+def test_bounded_search_returns_the_record_of_an_accepted_child():
+    # I2 topped over the empty ideal is the 3-antichain, whose canonical
+    # parent is I2, not C2.
+    i2 = packed_from_masks(2, (1, 2))
+    record = canonical_search(3, (1, 2, 4), i2)
+    assert record.rows == canonical_search(3, (1, 2, 4)).rows
+    assert all(is_automorphism((1, 2, 4), g) for g in record.generators)
+    assert canonical_search(3, (1, 2, 4), packed_from_masks(2, (1, 3))) is None
+
+
+def test_twin_swaps_are_generators():
+    # Three minimal twins under one top: the search places only the least
+    # unplaced twin, and records the swap of each twin with the previous one.
+    record = canonical_search(4, (1, 2, 4, 15))
+    assert (1, 0, 2, 3) in record.generators
+    assert (0, 2, 1, 3) in record.generators
+
+
+def test_generator_orbits_are_the_automorphism_orbits_of_every_class():
+    for n in range(1, 7):
+        for packed in {packed_from_masks(n, rows) for rows in iter_matrices(n)}:
+            m = CanonicalKey(n, packed).matrix()
+            assert position_orbits(m) == automorphism_orbits(m.masks), m.masks
+
+
+def test_generator_orbits_are_the_automorphism_orbits_of_the_closure_representatives():
+    closure = composition_closure(6)
+    reps = [entry.representative for catalog in closure.values() for entry in catalog.entries.values()]
+    assert len(reps) == 401
+    for m in reps:
+        assert position_orbits(m) == automorphism_orbits(m.masks), m.masks

@@ -20,10 +20,12 @@ from posetmat import (
     run_order5_table,
 )
 from posetmat import enumeration
-from posetmat.canon import packed_from_masks
+from posetmat.canon import packed_from_masks, position_orbits
 from posetmat.cli import main
 from posetmat.core import default_labels
+from posetmat.compose import CompositionKind, compose
 from posetmat.enumeration import (
+    MAX_CLOSURE_ORDER,
     MAX_ORACLE_ORDER,
     _catalog_from_packed,
     _ideals,
@@ -110,6 +112,67 @@ def test_oracle_levels_hold_each_class_once():
 @pytest.mark.slow
 def test_oracle_levels_hold_each_class_once_order8():
     assert_oracle_levels_hold_each_class_once(8)
+
+
+@pytest.mark.slow
+def test_oracle_order9_last_level():
+    with enumeration._ChunkMap(1) as chunk_map:
+        last = enumeration._oracle_levels(9, chunk_map)[-1]
+    assert len(last) == len(set(last)) == KNOWN_COUNTS[9][0] == 183_231
+    connected = sum(is_connected(CanonicalKey(9, packed).matrix()) for packed in last)
+    assert connected == KNOWN_COUNTS[9][1] == 163_341
+
+
+def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
+    searches = {}
+    real = enumeration.canonical_search
+
+    def counting(n, masks, parent=None):
+        searches[n] = searches.get(n, 0) + 1
+        return real(n, masks, parent)
+
+    monkeypatch.setattr(enumeration, "canonical_search", counting)
+    enumerate_oracle(7)
+    # One per Aut-orbit of the ideals of each parent, against 2, 7, 27,
+    # 126, 711 and 5,439 ideals.
+    assert searches == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+
+
+def test_orbit_skips_change_no_oracle_level(monkeypatch):
+    with enumeration._ChunkMap(1) as chunk_map:
+        pruned = enumeration._oracle_levels(7, chunk_map)
+        monkeypatch.setattr(enumeration, "_in_canonical_positions", lambda record: ())
+        every_ideal = enumeration._oracle_levels(7, chunk_map)
+    assert pruned == every_ideal
+
+
+def test_orbit_skips_change_no_closure_entry(monkeypatch):
+    pruned = composition_closure(6)
+    monkeypatch.setattr(enumeration, "position_orbits", lambda m: [1 << x for x in range(m.order)])
+    every_position = composition_closure(6)
+    for n in range(2, 7):
+        assert pruned[n].entries == every_position[n].entries
+        assert pruned[n].invalid_outputs == every_position[n].invalid_outputs
+
+
+@pytest.mark.parametrize("kind", list(CompositionKind))
+def test_positions_in_one_orbit_compose_isomorphic_outputs(kind):
+    operands = [key.matrix() for n in range(1, 6) for key in enumerate_oracle(n).entries]
+    outcomes = []
+    for a in operands:
+        for orbit in position_orbits(a):
+            positions = [x + 1 for x in range(a.order) if orbit >> x & 1]
+            if len(positions) == 1:
+                continue
+            for b in operands[:24]:  # orders 1 to 4
+                results = [compose(a, kind, i, b) for i in positions]
+                assert len({r.valid for r in results}) == 1, (a.masks, positions, b.masks)
+                if results[0].valid:
+                    keys = {canonical_form(r.poset()) for r in results}
+                    assert len(keys) == 1, (a.masks, positions, b.masks)
+                outcomes.append(results[0].valid)
+    # Both outcomes were met, except that square outputs are always valid.
+    assert set(outcomes) == ({True} if kind is CompositionKind.SQUARE else {True, False})
 
 
 def labelled_walk_classes(n):
@@ -283,8 +346,8 @@ def test_closure_rejects_tiny_orders():
 
 def test_closure_refuses_large_orders_before_any_work():
     start = time.monotonic()
-    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_ORACLE_ORDER}"):
-        composition_closure(MAX_ORACLE_ORDER + 1)
+    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_CLOSURE_ORDER}"):
+        composition_closure(MAX_CLOSURE_ORDER + 1)
     assert time.monotonic() - start < 1.0
 
 
@@ -407,7 +470,7 @@ def test_count_table_refuses_large_orders_before_any_work(method):
 def test_count_table_refuses_order_one_for_the_closure(method):
     # Order 1 is the composition identity, not a product.  A table with no
     # closure row would pass `all_match` without comparing anything.
-    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_ORACLE_ORDER}, got 1"):
+    with pytest.raises(ValueError, match=f"closure order must be 2..{MAX_CLOSURE_ORDER}, got 1"):
         count_table(1, method=method)
 
 
