@@ -65,9 +65,12 @@ exactly one parent, its canonical parent R* topped with the strict
 down-set of the last row of its canonical matrix; two ideals of R* can
 still give the same class.
 
-The search record.  One search returns, besides the least rows, the
-held leaf and the automorphisms it met, so no caller searches twice:
+The search record.  One search returns the canonical key, the held leaf
+and the automorphisms it met, so no caller searches twice:
 
+* `packed` is the least rows as one bit-string, row 0 first, each row
+  with column 0 in its top bit: the packed half of the canonical key.
+  `canon` is the only module that turns rows into a key.
 * `labelling[p]` is the input element the held leaf places at position
   p.  Placing those elements in that order gives exactly the least rows,
   so it is a canonical labelling; through it, a map on input elements
@@ -137,7 +140,7 @@ class CanonicalKey:
             if len(match[2]) == (order * order + 3) // 4 and not packed >> (order * order):
                 masks = _masks(order, packed)
                 report = validate_masks(masks)
-                if report.ok and report.lower_triangular_ok and packed_from_masks(order, masks) == packed:
+                if report.ok and report.lower_triangular_ok and canonical_search(order, masks).packed == packed:
                     return CanonicalKey(order, packed)
         raise ValueError(f"not a canonical key: {text!r}")
 
@@ -171,22 +174,37 @@ def _orbit(mask: int, gens: Sequence[Sequence[int]]) -> int:
 class SearchRecord(NamedTuple):
     """What one canonical search finds (see above)."""
 
-    rows: tuple[int, ...]  # the least rows, MSB = column 0
+    packed: int  # the least rows as one bit-string, row 0 first, column 0 in each row's top bit
     labelling: tuple[int, ...]  # the input element placed at each canonical position
     generators: Generators  # automorphisms of the input: twin swaps, then those the search found
 
 
-def _minimal_row_ints(
-    n: int, down: Sequence[int], up: Sequence[int], bound: Sequence[int] = ()
-) -> SearchRecord | None:
-    """Smallest output rows over all linear extensions; row ints are MSB=col 0.
+def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
+    """The search record of a matrix given as low-bit row masks.
 
-    `down[e]`/`up[e]` are the strict down- and up-sets of element e as
-    bitmasks.  Depth k of the search places one element at output
-    position k; `chosen[:k]` is the placed prefix.  `bound`, rows that
-    some linear extension starts with, pre-fills the first best rows; a
-    row below one of them ends the search with None.
+    With `parent`, the packed key of an order n-1 class that is isomorphic
+    to the matrix less some maximal element, the result is None unless
+    that class is the matrix's canonical parent (see above).  Depth k of
+    the search places one element at output position k; `chosen[:k]` is
+    the placed prefix.
     """
+    # down[e]/up[e]: the strict down- and up-sets of element e, as bitmasks.
+    down = [0] * n
+    up = [0] * n
+    for y in range(n):
+        rest = row_masks[y] & ~(1 << y)
+        down[y] = rest
+        while rest:
+            low = rest & -rest
+            up[low.bit_length() - 1] |= 1 << y
+            rest ^= low
+    # bound: rows that some linear extension starts with; they pre-fill the
+    # first best rows, and a row below one of them ends the search with None.
+    bound = []
+    if parent is not None:
+        # The parent's rows, one column narrower, widened by an empty last column.
+        width = n - 1
+        bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
     # needs[e]: what must be placed before e, its strict down-set and its lower-indexed twins.
     needs = []
     twins: dict[tuple[int, int], int] = {}  # (down, up) -> the elements seen with them
@@ -199,7 +217,7 @@ def _minimal_row_ints(
             pairs.append((seen.bit_length() - 1, e))
     sentinel = 1 << (n + 1)
     bounded = len(bound)
-    best = list(bound) + [sentinel] * (n - bounded)
+    best = bound + [sentinel] * (n - bounded)
     chosen = [0] * n
     acc = [0] * n  # acc[e]: output-row bits of the placed part of e's strict down-set
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
@@ -270,7 +288,10 @@ def _minimal_row_ints(
         raise ValueError(
             f"order {n} is too large for the canonical search (recursion limit {sys.getrecursionlimit()})"
         ) from None
-    return SearchRecord(tuple(best), tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos))
+    packed = 0
+    for row in best:
+        packed = packed << n | row
+    return SearchRecord(packed, tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos))
 
 
 # Twin swaps recur across inputs of one order, so records share them.
@@ -282,44 +303,6 @@ def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
-    """The search record of a matrix given as low-bit row masks.
-
-    With `parent`, the packed key of an order n-1 class that is isomorphic
-    to the matrix less some maximal element, the result is None unless
-    that class is the matrix's canonical parent (see above).
-    """
-    down = [0] * n
-    up = [0] * n
-    for y in range(n):
-        rest = row_masks[y] & ~(1 << y)
-        down[y] = rest
-        while rest:
-            low = rest & -rest
-            up[low.bit_length() - 1] |= 1 << y
-            rest ^= low
-    bound = ()
-    if parent is not None:
-        # The parent's rows, one column narrower, widened by an empty last column.
-        width = n - 1
-        bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
-    return _minimal_row_ints(n, down, up, bound)
-
-
-def packed_rows(n: int, rows: Sequence[int]) -> int:
-    """The rows of an n x n matrix as one bit-string, row 0 first."""
-    packed = 0
-    for row in rows:
-        packed = (packed << n) | row
-    return packed
-
-
-def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = None) -> int | None:
-    """Canonical packed bit-string for a matrix given as low-bit row masks, or None as above."""
-    record = canonical_search(n, row_masks, parent)
-    return None if record is None else packed_rows(n, record.rows)
-
-
 # Distinct matrices seen: 4,554 by the composition closure to order 7 and
 # 2,114 by a stream of 3,000 mixed library requests, so neither evicts; the
 # bound caps the memory of long-lived processes.  Only the packed key and
@@ -327,9 +310,8 @@ def packed_from_masks(n: int, row_masks: Sequence[int], parent: int | None = Non
 # empty tuple, so an entry costs little more than its key.
 @lru_cache(maxsize=2**15)
 def _canonical_record(masks: Masks) -> tuple[int, Generators]:
-    n = len(masks)
-    record = canonical_search(n, masks)
-    return packed_rows(n, record.rows), record.generators
+    record = canonical_search(len(masks), masks)
+    return record.packed, record.generators
 
 
 def canonical_form(m: PosetMatrix) -> CanonicalKey:

@@ -297,13 +297,18 @@ def induced_subposet(m: PosetMatrix, positions: Iterable[int]) -> PosetMatrix:
 
 
 def is_connected(m: PosetMatrix) -> bool:
-    """Connectivity of the comparability graph; order 1 is connected."""
-    seen = frontier = 1
-    while frontier:
-        grown = seen
-        for k in _bits(frontier):
-            grown |= m.masks[k] | m.up[k]
-        seen, frontier = grown, grown & ~seen
+    """Connectivity of the comparability graph; order 1 is connected.
+
+    The component of position 0 grows to a fixpoint: a row that meets it
+    belongs to an element above one of its members, which joins with its
+    down-set.
+    """
+    seen, last = m.masks[0], 0
+    while seen != last:
+        last = seen
+        for mask in m.masks:
+            if mask & seen:
+                seen |= mask
     return seen == (1 << m.order) - 1
 
 

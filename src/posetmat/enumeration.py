@@ -56,7 +56,6 @@ from .canon import (
     SearchRecord,
     canonical_form,
     canonical_search,
-    packed_rows,
     position_orbits,
 )
 from .compose import CompositionKind, compose
@@ -219,9 +218,7 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
     return leaders
 
 
-def _extend_chunk(
-    args: tuple[list[tuple[int, Generators]], int, bool]
-) -> tuple[list[int], list[Generators]]:
+def _extend_chunk(args: tuple[list[tuple[int, Generators]], int, bool]) -> list[tuple[int, Generators]]:
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
     Each parent, a packed key with generators of automorphisms of its
@@ -229,13 +226,12 @@ def _extend_chunk(
     those generators and keeps the child only if the child's canonical
     form begins with the parent's rows.  Two orbits of one parent can
     still give the same class, so each parent dedupes its own children;
-    no two parents keep the same class.  Returns the kept keys and, unless
-    `last` says no level follows, their search's generators moved into
-    canonical positions.
+    no two parents keep the same class.  Returns the kept keys, each with
+    its search's generators moved into canonical positions, or with none
+    when `last` says no level follows.
     """
     parents, k, last = args
-    keys: list[int] = []
-    generators: list[Generators] = []
+    kept: list[tuple[int, Generators]] = []
     for packed, gens in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
@@ -243,14 +239,10 @@ def _extend_chunk(
         children: dict[int, Generators] = {}
         for s in _ideal_orbit_leaders(masks, k, gens):
             record = canonical_search(k + 1, masks + (s | 1 << k,), packed)
-            if record is not None:
-                child = packed_rows(k + 1, record.rows)
-                if child not in children:
-                    children[child] = () if last else _in_canonical_positions(record)
-        keys += children
-        if not last:
-            generators += children.values()
-    return keys, generators
+            if record is not None and record.packed not in children:
+                children[record.packed] = () if last else _in_canonical_positions(record)
+        kept += children.items()
+    return kept
 
 
 def _in_canonical_positions(record: SearchRecord) -> Generators:
@@ -266,13 +258,8 @@ def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[int]]:
     levels = [[1]]  # the one-element poset; its 1x1 matrix packs to 1
     parents: list[tuple[int, Generators]] = [(1, ())]
     for k in range(1, n):
-        keys: list[int] = []
-        generators: list[Generators] = []
-        for chunk_keys, chunk_generators in chunk_map(_extend_chunk, parents, k, k + 1 == n):
-            keys += chunk_keys
-            generators += chunk_generators
-        levels.append(keys)
-        parents = list(zip(keys, generators))
+        parents = [pair for chunk in chunk_map(_extend_chunk, parents, k, k + 1 == n) for pair in chunk]
+        levels.append([packed for packed, _ in parents])
     return levels
 
 

@@ -14,7 +14,7 @@ from posetmat import (
     dual,
     normalize_linear_extension,
 )
-from posetmat.canon import canonical_search, packed_from_masks, packed_rows, position_orbits
+from posetmat.canon import canonical_search, position_orbits
 from posetmat.generators import antichain, chain
 
 import reference
@@ -191,7 +191,7 @@ def test_search_matches_reference_on_every_labelled_matrix():
     cases = 0
     for n in range(1, 7):
         for masks in iter_matrices(n):
-            assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+            assert canonical_search(n, masks).packed == reference.packed_from_masks(n, masks), masks
             cases += 1
     assert cases == 5_231
 
@@ -214,7 +214,7 @@ def test_search_matches_reference_on_relabelled_families(name, k, down):
     n = len(down)
     for _ in range(3):
         masks = relabelled_masks(down, rng)
-        assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+        assert canonical_search(n, masks).packed == reference.packed_from_masks(n, masks), masks
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -226,7 +226,7 @@ def test_search_matches_reference_on_random_posets(n):
     for density in densities:
         for _ in range(3):
             masks = relabelled_masks(random_down(rng, n, density), rng)
-            assert packed_from_masks(n, masks) == reference.packed_from_masks(n, masks), masks
+            assert canonical_search(n, masks).packed == reference.packed_from_masks(n, masks), masks
 
 
 # Canonical parents, bounded by the parent's rows (see the canon module docstring).
@@ -244,16 +244,16 @@ def deleted(masks: tuple[int, ...], y: int) -> tuple[int, ...]:
 
 
 def assert_bounded_search_on_every_child(k):
-    parents = {packed_from_masks(k, rows) for rows in iter_matrices(k)}
+    parents = {canonical_search(k, rows).packed for rows in iter_matrices(k)}
     accepted: dict[int, set[int]] = {}  # child key -> the parents that kept it
     for parent in parents:
         masks = CanonicalKey(k, parent).matrix().masks
         for s in reference.ideals(masks, k):
             child = masks + (s | 1 << k,)
-            key = packed_from_masks(k + 1, child)
-            bounded = packed_from_masks(k + 1, child, parent)
+            key = canonical_search(k + 1, child).packed
+            bounded = canonical_search(k + 1, child, parent)
             if block(k + 1, key) == masks:
-                assert bounded == key, (parent, s)
+                assert bounded is not None and bounded.packed == key, (parent, s)
                 accepted.setdefault(key, set()).add(parent)
             else:
                 assert bounded is None, (parent, s)
@@ -277,14 +277,14 @@ def test_bounded_search_keeps_only_the_least_deletion_on_random_posets(n):
     for density in (0.1, 0.2, 0.35, 0.5):
         for _ in range(3):
             masks = relabelled_masks(random_down(rng, n, density), rng)
-            key = packed_from_masks(n, masks)
+            key = canonical_search(n, masks).packed
             maximal = [y for y in range(n) if not any(masks[z] >> y & 1 for z in range(n) if z != y)]
-            parents = {packed_from_masks(n - 1, deleted(masks, y)) for y in maximal}
+            parents = {canonical_search(n - 1, deleted(masks, y)).packed for y in maximal}
             for parent in parents:
-                bounded = packed_from_masks(n, masks, parent)
+                bounded = canonical_search(n, masks, parent)
                 if parent == min(parents):
                     assert block(n, key) == CanonicalKey(n - 1, parent).matrix().masks
-                    assert bounded == key, masks
+                    assert bounded is not None and bounded.packed == key, masks
                 else:
                     assert bounded is None, masks
 
@@ -312,7 +312,7 @@ def test_symmetric_families_are_bounded_and_label_free(name, k, down):
     for _ in range(4):
         masks = relabelled_masks(down, rng)
         start = time.perf_counter()
-        keys.add(packed_from_masks(n, masks))
+        keys.add(canonical_search(n, masks).packed)
         elapsed = time.perf_counter() - start
         assert elapsed < STRESS_BOUND_S, f"{name} k={k}: {elapsed:.2f} s"
     assert len(keys) == 1
@@ -331,11 +331,13 @@ def is_automorphism(masks, g) -> bool:
 def assert_record_holds(masks):
     n = len(masks)
     record = canonical_search(n, masks)
-    assert packed_rows(n, record.rows) == packed_from_masks(n, masks)
-    # Placing labelling[p] at position p gives the least rows.
+    assert record.packed == reference.packed_from_masks(n, masks), masks
+    # Placing labelling[p] at position p gives the least rows, packed row 0 first.
     at = record.labelling
-    rows = tuple(sum(1 << (n - 1 - q) for q in range(n) if masks[at[p]] >> at[q] & 1) for p in range(n))
-    assert rows == record.rows, masks
+    packed = 0
+    for p in range(n):
+        packed = packed << n | sum(1 << (n - 1 - q) for q in range(n) if masks[at[p]] >> at[q] & 1)
+    assert packed == record.packed, masks
     for g in record.generators:
         assert is_automorphism(masks, g), (masks, g)
 
@@ -365,11 +367,11 @@ def test_record_on_random_posets():
 def test_bounded_search_returns_the_record_of_an_accepted_child():
     # I2 topped over the empty ideal is the 3-antichain, whose canonical
     # parent is I2, not C2.
-    i2 = packed_from_masks(2, (1, 2))
+    i2 = canonical_search(2, (1, 2)).packed
     record = canonical_search(3, (1, 2, 4), i2)
-    assert record.rows == canonical_search(3, (1, 2, 4)).rows
+    assert record.packed == canonical_search(3, (1, 2, 4)).packed
     assert all(is_automorphism((1, 2, 4), g) for g in record.generators)
-    assert canonical_search(3, (1, 2, 4), packed_from_masks(2, (1, 3))) is None
+    assert canonical_search(3, (1, 2, 4), canonical_search(2, (1, 3)).packed) is None
 
 
 def test_twin_swaps_are_generators():
@@ -382,7 +384,7 @@ def test_twin_swaps_are_generators():
 
 def test_generator_orbits_are_the_automorphism_orbits_of_every_class():
     for n in range(1, 7):
-        for packed in {packed_from_masks(n, rows) for rows in iter_matrices(n)}:
+        for packed in {canonical_search(n, rows).packed for rows in iter_matrices(n)}:
             m = CanonicalKey(n, packed).matrix()
             assert position_orbits(m) == automorphism_orbits(m.masks), m.masks
 

@@ -19,6 +19,7 @@ from posetmat import (
 from posetmat.generators import antichain, chain
 
 from conftest import poset_matrices
+from reference import iter_matrices
 
 CHAIN3 = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
 VEE = ((1, 0, 0), (1, 1, 0), (1, 0, 1))  # one bottom, two incomparable tops
@@ -198,8 +199,7 @@ def test_connectivity_hand_examples():
     assert is_connected(PosetMatrix.from_rows(ZIGZAG))
 
 
-@given(poset_matrices(min_order=2, max_order=6))
-def test_connectivity_matches_component_count(m):
+def assert_connectivity_matches_component_count(m):
     n = m.order
     parent = list(range(n))
 
@@ -215,6 +215,17 @@ def test_connectivity_matches_component_count(m):
                 parent[find(y)] = find(z)
     components = len({find(x) for x in range(n)})
     assert is_connected(m) == (components == 1)
+
+
+@given(poset_matrices(min_order=2, max_order=6))
+def test_connectivity_matches_component_count(m):
+    assert_connectivity_matches_component_count(m)
+
+
+def test_connectivity_matches_component_count_on_every_poset_to_order_6():
+    for n in range(1, 7):
+        for masks in iter_matrices(n):
+            assert_connectivity_matches_component_count(PosetMatrix(masks, default_labels(n)))
 
 
 @pytest.mark.parametrize("label", ["a b", "x#y", "", " a", "a\t", "a\nb"])

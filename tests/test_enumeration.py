@@ -20,7 +20,7 @@ from posetmat import (
     run_order5_table,
 )
 from posetmat import enumeration
-from posetmat.canon import packed_from_masks, position_orbits
+from posetmat.canon import canonical_search, position_orbits
 from posetmat.cli import main
 from posetmat.core import default_labels
 from posetmat.compose import CompositionKind, compose
@@ -179,7 +179,7 @@ def labelled_walk_classes(n):
     """Class key -> connected flag, from every labelled matrix of order n."""
     classes = {}
     for rows in iter_matrices(n):
-        key = CanonicalKey(n, packed_from_masks(n, rows))
+        key = CanonicalKey(n, canonical_search(n, rows).packed)
         if key not in classes:
             classes[key] = is_connected(PosetMatrix(rows, default_labels(n)))
     return classes
@@ -211,7 +211,7 @@ def test_oracle_emits_the_labelled_walk_bytes(tmp_path, workers):
         return {p.name: p.read_bytes() for p in directory.iterdir()}
 
     for n in range(1, 7):
-        walk = _catalog_from_packed(n, (packed_from_masks(n, rows) for rows in iter_matrices(n)))
+        walk = _catalog_from_packed(n, (canonical_search(n, rows).packed for rows in iter_matrices(n)))
         assert snapshot(enumerate_oracle(n, workers), tmp_path / f"oracle{n}") == snapshot(
             walk, tmp_path / f"walk{n}"
         )
