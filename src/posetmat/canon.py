@@ -6,50 +6,93 @@ achieving the minimum is always a linear extension: if the matrix had a 1
 above the diagonal, take the first row r with one, at column c; moving the
 element at c to position r (shifting the block between them right) leaves
 rows above r untouched and strictly shrinks row r, so the string was not
-minimal.  The search below therefore walks linear extensions only, one
-output position per depth, with branch-and-bound pruning against the best
-string found so far: a child whose row exceeds the best row at its depth
-is cut, and a child that lowers it resets every deeper best row.  So every
-prefix the search follows has exactly the best rows, and every leaf it
-reaches either lowers the best string or reproduces it.
+minimal.  The search below therefore walks linear extensions only, with
+branch-and-bound pruning against the best string found so far: a row
+that exceeds the best row at its position cuts its branch, and a row
+that lowers it resets every later best row.  So every prefix the search
+follows has exactly the best rows, and every leaf it reaches either
+lowers the best string or reproduces it.
+
+Cells and blocks.  A node at depth k is an ordered partition of output
+positions 0..k-1 into cells of consecutive positions.  A cell holds a set
+of placed elements whose order inside it is still open, and the strict
+down-set of every placed element is a union of cells.  So rows 0..k-1 are
+the same for every order inside the cells, and the node stands for every
+linear extension that puts each cell's elements on the cell's positions.
+The available elements, those whose strict down-set is placed, fall
+into blocks, one per down-set.  The elements of a block are pairwise
+incomparable: one below another would lie in its down-set, which is its
+own.  A child places a whole block B, with down-set D, on positions
+k..k+|B|-1 as one new cell.  Its least strings are the node's least
+strings, for three reasons:
+
+* End-packing.  Where D meets a cell of m elements in t, a row of B has
+  bits in t of the cell's m columns, and the row is least, cell by
+  cell, with them in the last t.  The search puts them there: it splits
+  the cell into its non-members, first, and its members, last.  That
+  never changes an earlier row.  Each earlier row is a union of cells,
+  and a split only orders elements inside one cell.  So all rows of B
+  are one pattern plus the diagonal bit, `row | bit(k+j)`, and they are
+  forced.  A least string of the node end-packs the row at k too, or
+  reordering inside the cells would lower that row and no earlier one.
+* Contiguity.  Let a least string of the node place e of B at k, and
+  let m be the first position after k that holds an x outside B while
+  some b in B is still unplaced; b can go at m.  If x is above a member
+  of B at k..m-1, then by transitivity x's down-set holds D and that
+  member.  So x's row holds every bit of b's row at m but the diagonal,
+  plus an earlier one, and is strictly larger.  Otherwise x's down-set
+  lies in positions 0..k-1, where the string fixes one element per
+  position, so equal bits there mean equal down-sets and x in B.  Smaller
+  bits would have beaten e at k, and larger ones lose to b at m.  Either
+  way moving b to m lowers the string, so a least string places each
+  block contiguously, and the children of a node are its blocks.
+* Leaves.  A cell that no later down-set splits holds elements with one
+  down-set, and every other element is above all of them or none: they
+  are twins, with equal strict down- and up-sets, and every order of
+  them gives the same rows.  A leaf orders each such cell by index.
+
+A block's rows are compared with the best rows one by one: the first
+that differs cuts the child or lowers the best string from there on.
+Two blocks can give the same rows, with different down-sets that meet
+each cell equally often; both are searched.  The search takes one frame
+per block, so a chain needs one per element and an antichain one.
 
 Two leaves with identical rows differ by an automorphism of the poset:
 placing held[i] at position i and placing chosen[i] there give the same
-matrix, so gamma(held[i]) = chosen[i] preserves the order.  An
-automorphism that fixes a node's prefix pointwise maps the subtree of one
-child onto the subtree of another with the same rows, string for string,
-and a subtree searched already holds no string below the best one.  The
-search records gamma and uses it in two ways, neither of which changes
-the least string:
+matrix, so gamma(held[i]) = chosen[i] preserves the order.  Both leaves
+refine the node where their paths of chosen blocks part, so gamma maps
+each of its cells onto itself, as a set.  Such an automorphism maps the
+node's placed elements onto themselves, so it maps blocks to blocks,
+the split of each cell by D onto its split by gamma(D), and the subtree
+of a child B onto that of gamma(B), string for string.  A subtree
+searched already holds no string below the best one.  The search
+records gamma and uses it in two ways, neither of which changes the
+least string:
 
-* gamma fixes the common prefix chosen[:d] of the two leaves and maps
-  the child held[d], searched already, onto chosen[d], where the leaves
-  part.  So the rest of the subtree under chosen[d] holds nothing new,
-  and the search unwinds straight to depth d.
-* At each node it skips any child in the orbit, under the automorphisms
-  found below that node, of a child searched already there.  Those fix
-  the node's prefix chosen[:k] pointwise: gamma fixes chosen[:d], and
-  when d < k every node deeper than d returns at once, before any orbit
-  step, so a node at depth k only ever steps with gammas of d >= k.
+* At the node where the paths part, gamma maps the block the held leaf
+  took, searched already, onto the block chosen now.  So the rest of
+  the subtree under the chosen block holds nothing new, and the search
+  unwinds straight to that node.
+* At each node it skips any block in the orbit, under the automorphisms
+  found below that node, of a block searched already there.  Each of
+  them maps every cell of the node onto itself: the node where its
+  leaves part is this node or below it, and every cell of this node is
+  a union of cells there.  A gamma that parts above this node unwinds
+  past it, before any orbit step.
 
-Interchangeable twins (equal strict down- and up-sets) are the cheap
-special case: swapping two of them is an automorphism fixing everything
-else, so an element is tried only once its lower-indexed twins are all
-placed.  Twins share a down-set, so they become available together, and
-each node tries the least unplaced one.  The held leaf is forgotten
-whenever a best row is lowered, so gamma is only ever taken between
-leaves with the same rows.
+The held leaf is forgotten whenever a best row is lowered, so gamma is
+only ever taken between leaves with the same rows.
 
 Canonical parents.  Lemma: the top-left (n-1)x(n-1) block of the
 canonical matrix of P is the canonical matrix of P - x for some maximal
 x; call that class P's canonical parent.  Proof: row k of the string
 holds the bits of the element placed at position k against the elements
-placed at 0..k, so it depends only on chosen[:k+1].  The last element of
-a linear extension is maximal, deleting it leaves a linear extension of
-P - x, and every linear extension of P - x, for x maximal, extends by x
-to one of P.  In a linear extension no row before the last has a bit in
-the last column, so the first n-1 rows of P's least string are the least
-rows of some P - x, each shifted left by one.
+placed at 0..k, so it depends only on the first k+1 elements placed.
+The last element of a linear extension is maximal, deleting it leaves a
+linear extension of P - x, and every linear extension of P - x, for x
+maximal, extends by x to one of P.  In a linear extension no row before
+the last has a bit in the last column, so the first n-1 rows of P's
+least string are the least rows of some P - x, each shifted left by one.
 
 So a child C, made by topping a representative R of order n-1 with a new
 maximal element, has a canonical block no greater than R, and R is C's
@@ -59,7 +102,7 @@ rows.  C's own labelling starts with them, so every cut against them
 still cuts only strings above one that exists, and the pruning stays
 sound: the search still reaches a leaf with the least rows unless it
 stops first.  On the way to that leaf, at the first row below R's, if
-any, it sees a candidate row below the best one at a depth under n-1,
+any, it sees a block row below the best one at a position under n-1,
 and stops with no result.  Every class is therefore accepted from
 exactly one parent, its canonical parent R* topped with the strict
 down-set of the last row of its canonical matrix; two ideals of R* can
@@ -80,10 +123,12 @@ and the automorphisms it met, so no caller searches twice:
   So is every twin swap.  Twins t and e are incomparable (t < e would
   put t in e's strict down-set, which is t's own), and every other
   element is below, above or apart from t exactly as from e, so
-  exchanging them keeps every relation.  The search places only the
-  least unplaced twin, so it never meets two leaves that differ by a
-  twin swap; instead it records the swap of each twin with the previous
-  one, and those generate every reordering of a twin class.
+  exchanging them keeps every relation.  Twins share a cell to the
+  leaf, which orders them by index, so the search never meets two
+  leaves that differ by a twin swap; instead it records the swap of
+  each twin with the previous one, and those generate every reordering
+  of a twin class.
+* `nodes` is the number of search frames, one per node.
 
 The generators span a subgroup of Aut(P).  On every class of orders 1
 to 6 its position orbits are those of Aut(P) (a test compares them with
@@ -94,11 +139,12 @@ only that each generator is an automorphism, whatever group they span.
 With a smaller group the caller keeps more choices than it needs, never
 fewer.  The bounded mode returns a record only when it accepts.
 
-Candidate rows are built incrementally: `acc[e]` carries the output bits
-of e's placed strict down-set.  Placing e at position k sets the bit of
-column k in `acc` of every element above e, and removing e clears it,
-so a candidate's row is `acc[e]` plus its diagonal bit, with no walk over
-the prefix.
+Block rows are built incrementally.  An element is fixed once it is
+alone in its cell, and `acc[b]` carries the output bits of the fixed
+part of block b's down-set: fixing x at position p sets the bit of
+column p in `acc` of every block above x, and backtracking clears it.
+A block's row is `acc[b]` plus, for each open cell, its count of
+down-set members packed at the cell's end, with no walk over the prefix.
 """
 from __future__ import annotations
 
@@ -151,9 +197,17 @@ class CanonicalKey:
 
 def _masks(n: int, packed: int) -> Masks:
     """The row masks of an n x n bit-string packed MSB-first."""
-    rows = (packed >> (n * (n - 1 - y)) & ((1 << n) - 1) for y in range(n))
-    # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
-    return tuple(int(format(row, f"0{n}b")[::-1], 2) for row in rows)
+    masks = []
+    for y in range(n):
+        row = packed >> (n * (n - 1 - y)) & ((1 << n) - 1)
+        # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
+        mask = 0
+        while row:
+            low = row & -row
+            mask |= 1 << (n - low.bit_length())
+            row ^= low
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _orbit(mask: int, gens: Sequence[Sequence[int]]) -> int:
@@ -177,6 +231,7 @@ class SearchRecord(NamedTuple):
     packed: int  # the least rows as one bit-string, row 0 first, column 0 in each row's top bit
     labelling: tuple[int, ...]  # the input element placed at each canonical position
     generators: Generators  # automorphisms of the input: twin swaps, then those the search found
+    nodes: int  # search frames, one per node that places a block
 
 
 def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
@@ -184,9 +239,9 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
 
     With `parent`, the packed key of an order n-1 class that is isomorphic
     to the matrix less some maximal element, the result is None unless
-    that class is the matrix's canonical parent (see above).  Depth k of
-    the search places one element at output position k; `chosen[:k]` is
-    the placed prefix.
+    that class is the matrix's canonical parent (see above).  A node at
+    depth k has placed output positions 0..k-1, as its open cells and the
+    elements it has fixed in `chosen`.
     """
     # down[e]/up[e]: the strict down- and up-sets of element e, as bitmasks.
     down = [0] * n
@@ -205,93 +260,153 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
         # The parent's rows, one column narrower, widened by an empty last column.
         width = n - 1
         bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
-    # needs[e]: what must be placed before e, its strict down-set and its lower-indexed twins.
-    needs = []
+    # blocks: (down-set, members), one per strict down-set, in order of least member.
+    members: dict[int, int] = {}
     twins: dict[tuple[int, int], int] = {}  # (down, up) -> the elements seen with them
     pairs = []  # (t, e): e and its last lower-indexed twin t
     for e in range(n):
+        members[down[e]] = members.get(down[e], 0) | 1 << e
         seen = twins.get((down[e], up[e]), 0)
-        needs.append(down[e] | seen)
         twins[down[e], up[e]] = seen | 1 << e
         if seen:
             pairs.append((seen.bit_length() - 1, e))
+    blocks = list(members.items())
+    above: list[list[int]] = [[] for _ in range(n)]  # above[x]: the blocks whose down-set holds x
+    for b, (below, _) in enumerate(blocks):
+        rest = below
+        while rest:
+            low = rest & -rest
+            above[low.bit_length() - 1].append(b)
+            rest ^= low
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = bound + [sentinel] * (n - bounded)
-    chosen = [0] * n
-    acc = [0] * n  # acc[e]: output-row bits of the placed part of e's strict down-set
+    chosen = [0] * n  # chosen[p]: the element at position p, once fixed
+    acc = [0] * len(blocks)  # acc[b]: output-row bits of the fixed part of block b's down-set
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
+    trail: list[tuple[int, int]] = []  # (depth, block) of each node on the path to the current one
+    held_trail: list[tuple[int, int]] = []  # the same for the held leaf
+    nodes = 0
 
-    def rec(k: int, used: int) -> int:
-        """Search below prefix `chosen[:k]`; return the depth to unwind to (n: none, -1: all).
+    def leaf(cells: list[tuple[int, int, int]]) -> int:
+        """Take the leaf that `chosen` and the open `cells` give; return the depth to unwind to."""
+        # Every open cell holds twins, placed by index.
+        for first, cell, _ in cells:
+            while cell:
+                low = cell & -cell
+                chosen[first] = low.bit_length() - 1
+                first += 1
+                cell ^= low
+        if not held:
+            held.extend(chosen)
+            held_trail[:] = trail
+            return n
+        # Same rows as the held leaf: held[i] -> chosen[i] is an automorphism
+        # that maps every cell of the node where their paths part onto
+        # itself, and the block searched there already onto the one chosen now.
+        gamma = [0] * n
+        for i in range(n):
+            gamma[held[i]] = chosen[i]
+        autos.append(tuple(gamma))
+        return next(node[0] for node, other in zip(trail, held_trail) if node != other)
 
-        The automorphisms appended to `autos` while this call runs fix
-        `chosen[:k]` pointwise; only they prune its children.
+    def rec(k: int, placed: int, cells: list[tuple[int, int, int]]) -> int:
+        """Search below the node at depth k; return the depth to unwind to (n: none, -1: all).
+
+        `placed` is the elements placed at positions 0..k-1 and `cells`
+        its open cells as (first position, members, n - end position).
+        The automorphisms appended to `autos` while this call runs map
+        every cell of this node onto itself; only they prune its children.
         """
-        bit = 1 << (n - 1 - k)
-        candidates = [(acc[e] | bit, e) for e in range(n) if not (used >> e & 1 or needs[e] & ~used)]
+        nonlocal nodes
+        nodes += 1
+        candidates = []
+        for b, (below, block) in enumerate(blocks):
+            if placed & block or below & ~placed:
+                continue
+            # The block's row less its diagonal: its down-set packed at the end of each cell.
+            row = acc[b]
+            for _, cell, shift in cells:
+                inner = (cell & below).bit_count()
+                if inner:
+                    row |= ((1 << inner) - 1) << shift
+            candidates.append((row, b))
         candidates.sort()
         start = len(autos)
-        explored = 0  # orbit of the children searched so far, under autos[start:]
-        for row, e in candidates:
-            if row > best[k]:
+        explored = 0  # orbit of the blocks searched so far, under autos[start:]
+        for row, b in candidates:
+            if row | 1 << (n - 1 - k) > best[k]:
                 break
-            if row < best[k]:
-                if k < bounded:
-                    return -1
-                best[k] = row
-                for j in range(k + 1, n):
-                    best[j] = sentinel
-                held.clear()
-            elif explored >> e & 1:
+            below, block = blocks[b]
+            if explored & block:
                 continue
-            chosen[k] = e
-            if k + 1 == n:
-                if not held:
-                    held.extend(chosen)
-                    return n
-                # Same rows as the held leaf: held[i] -> chosen[i] is an
-                # automorphism fixing their common prefix chosen[:d], and it
-                # maps the child held[d], searched already, onto chosen[d].
-                gamma = [0] * n
-                d = n
-                for i in range(n):
-                    gamma[held[i]] = chosen[i]
-                    if d == n and held[i] != chosen[i]:
-                        d = i
-                autos.append(tuple(gamma))
-                return d
-            rest = up[e]
-            while rest:
-                low = rest & -rest
-                acc[low.bit_length() - 1] |= bit
-                rest ^= low
-            depth = rec(k + 1, used | 1 << e)
-            rest = up[e]
-            while rest:
-                low = rest & -rest
-                acc[low.bit_length() - 1] ^= bit
-                rest ^= low
+            end = k + block.bit_count()
+            j = k
+            while j < end and row | 1 << (n - 1 - j) == best[j]:
+                j += 1
+            if j < end:
+                if row | 1 << (n - 1 - j) > best[j]:
+                    continue
+                if j < bounded:
+                    return -1
+                best[j:] = [row | 1 << (n - 1 - i) for i in range(j, end)] + [sentinel] * (n - end)
+                held.clear()
+            # Split every cell the down-set meets, non-members first; a part
+            # of one element is fixed.  The block is the last cell.
+            fixed = []
+            split = []
+            for first, cell, shift in cells:
+                inner = cell & below
+                if inner and inner != cell:
+                    outer = cell ^ inner
+                    for part in ((first, outer, shift + inner.bit_count()), (first + outer.bit_count(), inner, shift)):
+                        if part[1] & part[1] - 1:
+                            split.append(part)
+                        else:
+                            fixed.append((part[1].bit_length() - 1, part[0]))
+                else:
+                    split.append((first, cell, shift))
+            if end - k > 1:
+                split.append((k, block, n - end))
+            else:
+                fixed.append((block.bit_length() - 1, k))
+            for x, p in fixed:
+                chosen[p] = x
+            trail.append((k, block))
+            if end == n:
+                depth = leaf(split)
+                trail.pop()
+                return depth
+            for x, p in fixed:
+                bit = 1 << (n - 1 - p)
+                for c in above[x]:
+                    acc[c] |= bit
+            depth = rec(end, placed | block, split)
+            for x, p in fixed:
+                bit = 1 << (n - 1 - p)
+                for c in above[x]:
+                    acc[c] ^= bit
+            trail.pop()
             if depth < k:
                 return depth
-            explored |= 1 << e
+            explored |= block
             if len(autos) > start:
                 explored = _orbit(explored, autos[start:])
         return n
 
     try:
-        if rec(0, 0) < 0:
+        if rec(0, 0, []) < 0:
             return None
     except RecursionError:
-        # One frame per placed element: the order, not the input, is at fault.
+        # One frame per placed block: the order, not the input, is at fault.
         raise ValueError(
             f"order {n} is too large for the canonical search (recursion limit {sys.getrecursionlimit()})"
         ) from None
     packed = 0
     for row in best:
         packed = packed << n | row
-    return SearchRecord(packed, tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos))
+    return SearchRecord(packed, tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos), nodes)
 
 
 # Twin swaps recur across inputs of one order, so records share them.

@@ -12,6 +12,7 @@ from posetmat import (
     canonical_form,
     composition_closure,
     dual,
+    enumerate_oracle,
     normalize_linear_extension,
 )
 from posetmat.canon import canonical_search, position_orbits
@@ -290,22 +291,30 @@ def test_bounded_search_keeps_only_the_least_deletion_on_random_posets(n):
 
 
 # Seconds allowed for one canonical search on the stress family.  The
-# searches take at most a few tens of milliseconds; the twin-only search
-# needed about 4 s for eight 2-chains and grew about tenfold per chain.
+# searches take at most a few milliseconds; the twin-only search needs
+# about 3 s for eight 2-chains and grows about tenfold per chain.
 STRESS_BOUND_S = 2.0
 
+# (name, k, down-sets, whether the twin-only reference search finishes in
+# a few seconds and so checks the key).  The sparse random posets of
+# orders 10 to 12 are a stratum the `requests` stream leaves out.
 STRESS_FAMILIES = (
-    [("2-chains", k, disjoint_chains(k, 2)) for k in (8, 10)]
-    + [("3-chains", 6, disjoint_chains(6, 3))]
-    + [("antichain sum", 10, antichain_sum(10, 10))]
-    + [("crown", k, crown(k)) for k in range(4, 9)]
+    [("2-chains", k, disjoint_chains(k, 2), False) for k in (8, 10)]
+    + [("3-chains", 6, disjoint_chains(6, 3), True)]
+    + [("antichain sum", 10, antichain_sum(10, 10), True)]
+    + [("crown", k, crown(k), k <= 8) for k in (4, 5, 6, 7, 8, 9, 10, 15)]
+    + [
+        ("sparse", f"{n}-{i}", random_down(random.Random(f"sparse-{n}-{i}"), n, 0.1), True)
+        for n in (10, 11, 12)
+        for i in range(3)
+    ]
 )
 
 
 @pytest.mark.parametrize(
-    "name, k, down", STRESS_FAMILIES, ids=[f"{name}-{k}" for name, k, _ in STRESS_FAMILIES]
+    "name, k, down, checked", STRESS_FAMILIES, ids=[f"{name}-{k}" for name, k, _, _ in STRESS_FAMILIES]
 )
-def test_symmetric_families_are_bounded_and_label_free(name, k, down):
+def test_symmetric_families_are_bounded_and_label_free(name, k, down, checked):
     rng = random.Random(f"stress-{name}-{k}")
     n = len(down)
     keys = set()
@@ -316,6 +325,33 @@ def test_symmetric_families_are_bounded_and_label_free(name, k, down):
         elapsed = time.perf_counter() - start
         assert elapsed < STRESS_BOUND_S, f"{name} k={k}: {elapsed:.2f} s"
     assert len(keys) == 1
+    if checked:
+        assert keys == {reference.packed_from_masks(n, masks)}
+
+
+# Nodes per point on relabelled crowns: at most 2.33 over 200 relabellings
+# of each crown on 8 to 30 points.  A search that branches over the orders
+# of a tied block takes exponentially many.
+CROWN_NODES_PER_POINT = 3
+
+
+@pytest.mark.parametrize("k", range(4, 16))
+def test_relabelled_crowns_take_linearly_many_nodes(k):
+    rng = random.Random(f"crown-nodes-{k}")
+    for _ in range(10):
+        record = canonical_search(2 * k, relabelled_masks(crown(k), rng))
+        assert record.nodes <= CROWN_NODES_PER_POINT * 2 * k, (k, record.nodes)
+
+
+def test_every_key_to_order_7_decodes_to_its_own_matrix():
+    for n in range(1, 8):
+        for key in enumerate_oracle(n).entries:
+            masks = key.matrix().masks
+            # Bit z of masks[y] is column z of row y, column 0 in the row's top bit.
+            assert all(
+                masks[y] >> z & 1 == key.packed >> (n * (n - 1 - y) + n - 1 - z) & 1 for y in range(n) for z in range(n)
+            )
+            assert canonical_search(n, masks).packed == key.packed
 
 
 # The search record: labelling and generators (see the canon module docstring).
@@ -375,8 +411,8 @@ def test_bounded_search_returns_the_record_of_an_accepted_child():
 
 
 def test_twin_swaps_are_generators():
-    # Three minimal twins under one top: the search places only the least
-    # unplaced twin, and records the swap of each twin with the previous one.
+    # Three minimal twins under one top share one cell, ordered by index, and
+    # the search records the swap of each twin with the previous one.
     record = canonical_search(4, (1, 2, 4, 15))
     assert (1, 0, 2, 3) in record.generators
     assert (0, 2, 1, 3) in record.generators

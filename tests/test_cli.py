@@ -288,7 +288,7 @@ def chain_file(tmp_path, n):
 
 @pytest.mark.parametrize("command", ["canon", "iso"])
 def test_orders_past_the_recursion_limit_are_refused(tmp_path, capsys, command):
-    # The canonical search takes one frame per element.
+    # The canonical search takes one frame per block, so one per element of a chain.
     path = chain_file(tmp_path, 1100)
     files = [path] if command == "canon" else [path, path]
     code, out, err = run(capsys, command, *files)
@@ -303,6 +303,17 @@ def test_canon_keys_a_500_chain(tmp_path, capsys):
     for y in range(n):
         packed = packed << n | ((1 << y + 1) - 1) << (n - 1 - y)  # row y: columns 0..y
     code, out, err = run(capsys, "canon", chain_file(tmp_path, n))
+    assert (code, out, err) == (0, CanonicalKey(n, packed).render() + "\n", "")
+
+
+def test_canon_keys_a_1100_antichain(tmp_path, capsys):
+    # The antichain is one block of twins, so the search takes one frame.
+    n = 1100
+    rows = "".join(" ".join("1" if z == y else "0" for z in range(n)) + "\n" for y in range(n))
+    packed = 0
+    for y in range(n):
+        packed = packed << n | 1 << (n - 1 - y)  # row y: its diagonal only
+    code, out, err = run(capsys, "canon", put(tmp_path, "antichain.pm", f"{n}\n{rows}"))
     assert (code, out, err) == (0, CanonicalKey(n, packed).render() + "\n", "")
 
 
