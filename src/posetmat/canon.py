@@ -139,6 +139,20 @@ only that each generator is an automorphism, whatever group they span.
 With a smaller group the caller keeps more choices than it needs, never
 fewer.  The bounded mode returns a record only when it accepts.
 
+Set-up.  Before the first node the search needs the blocks and the
+`above` lists (the blocks whose down-set holds each element).
+`canonical_search` builds them from the row masks, runs the one search
+body, and opens the record's generators with the twin swaps.  The oracle
+searches many children of one representative R of order k, each R topped
+with a new element k over an ideal s, so `ParentSetup` builds R's tables
+once and extends them per child.  No down-set of R changes, and k's is s:
+k joins the block with down-set s, or opens a block after all of R's,
+since its least member is k, and that block joins `above[y]` for each y
+in s.  These are the tables of a fresh set-up of the child, so the search
+returns the same record, less the twin swaps, which the oracle builds
+only for the children it keeps generators for.  The search only reads
+the tables, so children share what they do not change.
+
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
 part of block b's down-set: fixing x at position p sets the bit of
@@ -152,7 +166,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Masks, PosetMatrix, default_labels, validate_masks
 
@@ -239,10 +253,37 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
 
     With `parent`, the packed key of an order n-1 class that is isomorphic
     to the matrix less some maximal element, the result is None unless
-    that class is the matrix's canonical parent (see above).  A node at
-    depth k has placed output positions 0..k-1, as its open cells and the
-    elements it has fixed in `chosen`.
+    that class is the matrix's canonical parent (see above).
     """
+    blocks, above, pairs = _setup(n, row_masks)
+    record = _search(n, blocks, above, [] if parent is None else _bound(n - 1, parent))
+    if record is None or not pairs:
+        return record
+    return record._replace(generators=_swaps(n, pairs) + record.generators)
+
+
+def _bound(width: int, parent: int) -> list[int]:
+    """The rows of a packed key of order `width`, each widened by an empty last column."""
+    return [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
+
+
+Block = tuple[int, int]  # (down-set, members) of a block, as bitmasks
+
+
+def _setup(n: int, row_masks: Sequence[int]) -> tuple[list[Block], list[list[int]], list[tuple[int, int]]]:
+    """The blocks and `above` lists the search takes, and the twin pairs whose swaps open its record.
+
+    Blocks come one per strict down-set, in order of least member;
+    above[x] lists the blocks whose down-set holds x; a pair (t, e) is an
+    element e and the last lower-indexed twin t of it, in order of e.
+    """
+    members, twins = _tables(n, row_masks)
+    blocks = list(members.items())
+    return blocks, _above(n, blocks), _pairs(twins.values())
+
+
+def _tables(n: int, row_masks: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """down -> the elements with that strict down-set, and (down, up) -> those with both, in order of least member."""
     # down[e]/up[e]: the strict down- and up-sets of element e, as bitmasks.
     down = [0] * n
     up = [0] * n
@@ -253,31 +294,101 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
             low = rest & -rest
             up[low.bit_length() - 1] |= 1 << y
             rest ^= low
-    # bound: rows that some linear extension starts with; they pre-fill the
-    # first best rows, and a row below one of them ends the search with None.
-    bound = []
-    if parent is not None:
-        # The parent's rows, one column narrower, widened by an empty last column.
-        width = n - 1
-        bound = [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
-    # blocks: (down-set, members), one per strict down-set, in order of least member.
     members: dict[int, int] = {}
-    twins: dict[tuple[int, int], int] = {}  # (down, up) -> the elements seen with them
-    pairs = []  # (t, e): e and its last lower-indexed twin t
+    twins: dict[tuple[int, int], int] = {}
     for e in range(n):
         members[down[e]] = members.get(down[e], 0) | 1 << e
-        seen = twins.get((down[e], up[e]), 0)
-        twins[down[e], up[e]] = seen | 1 << e
-        if seen:
-            pairs.append((seen.bit_length() - 1, e))
-    blocks = list(members.items())
-    above: list[list[int]] = [[] for _ in range(n)]  # above[x]: the blocks whose down-set holds x
+        twins[down[e], up[e]] = twins.get((down[e], up[e]), 0) | 1 << e
+    return members, twins
+
+
+def _above(n: int, blocks: list[Block]) -> list[list[int]]:
+    above: list[list[int]] = [[] for _ in range(n)]
     for b, (below, _) in enumerate(blocks):
         rest = below
         while rest:
             low = rest & -rest
             above[low.bit_length() - 1].append(b)
             rest ^= low
+    return above
+
+
+def _pairs(classes: Iterable[int]) -> list[tuple[int, int]]:
+    """Each element of a twin class with the previous one, in order of the later element."""
+    pairs = []
+    for cell in classes:
+        if not cell & cell - 1:
+            continue  # a class of one
+        t = -1
+        while cell:
+            low = cell & -cell
+            e = low.bit_length() - 1
+            if t >= 0:
+                pairs.append((t, e))
+            t = e
+            cell ^= low
+    pairs.sort(key=lambda pair: pair[1])
+    return pairs
+
+
+class ParentSetup:
+    """A canonical representative R of order k, set up once for the searches of its children.
+
+    A child tops R with a new element k over an ideal s of R.  Its blocks
+    and `above` lists are R's, extended by that one element (see above),
+    and `search(s)` runs the bounded search on them.
+    """
+
+    def __init__(self, k: int, packed: int) -> None:
+        self.k = k
+        self.masks = _masks(k, packed)
+        self.bound = _bound(k, packed)
+        members = _tables(k, self.masks)[0]
+        self.blocks = list(members.items())
+        self.index = {below: b for b, below in enumerate(members)}  # down-set -> its block
+        self.above = _above(k + 1, self.blocks)  # the new element is in no down-set
+
+    def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
+        """The child's blocks and `above` lists: k joins the block with down-set s, or opens one last."""
+        b = self.index.get(s)
+        if b is not None:
+            blocks = self.blocks.copy()
+            blocks[b] = (s, blocks[b][1] | 1 << self.k)
+            return blocks, self.above
+        b = len(self.blocks)
+        above = self.above.copy()
+        rest = s
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            above[y] = above[y] + [b]
+            rest ^= low
+        return self.blocks + [(s, 1 << self.k)], above
+
+    def twin_swaps(self, s: int) -> Generators:
+        """The twin swaps that open the generators of the child's record."""
+        n = self.k + 1
+        return _swaps(n, _pairs(_tables(n, self.masks + (s | 1 << self.k,))[1].values()))
+
+    def search(self, s: int) -> SearchRecord | None:
+        """`canonical_search` of the child bounded by R, with no twin swaps among its generators."""
+        blocks, above = self.setup(s)
+        return _search(self.k + 1, blocks, above, self.bound)
+
+
+def _search(
+    n: int,
+    blocks: list[Block],
+    above: list[list[int]],
+    bound: list[int],
+) -> SearchRecord | None:
+    """The search body, on set-up blocks and `above` lists; `bound` pre-fills the first best rows.
+
+    A row below one of the `bound` rows ends the search with None.  The
+    record's generators are the automorphisms found, with no twin swaps.
+    A node at depth k has placed output positions 0..k-1, as its open
+    cells and the elements it has fixed in `chosen`.
+    """
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = bound + [sentinel] * (n - bounded)
@@ -406,7 +517,12 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
     packed = 0
     for row in best:
         packed = packed << n | row
-    return SearchRecord(packed, tuple(held), tuple([_swap(n, t, e) for t, e in pairs] + autos), nodes)
+    return SearchRecord(packed, tuple(held), tuple(autos), nodes)
+
+
+def _swaps(n: int, pairs: Iterable[tuple[int, int]]) -> Generators:
+    """The swaps of twin `pairs`, which open the generators of a record."""
+    return tuple(_swap(n, t, e) for t, e in pairs)
 
 
 # Twin swaps recur across inputs of one order, so records share them.

@@ -17,6 +17,26 @@ Two independent routes:
   an ideal s onto the ideal g(s), and topping R over either gives
   isomorphic children, so only the first ideal of each orbit is topped.
 
+  Some children are ruled out with no search.  Let m = |Min(R)|, and d
+  the least down-set size of R's height-1 elements (the non-minimal ones
+  above minimal elements only), or 0 if R is an antichain.  A child C
+  that tops R with k over an ideal s inside Min(R), with |s| < d, does
+  not have R as its canonical parent.  Proof: d > 0, so R has a
+  non-minimal element, and so a non-minimal maximal element y.  It lies
+  outside s, so it is maximal in C, and deleting it from C removes no
+  minimal element and makes none.  The first node of a canonical search
+  has one block, the minimal elements, so a least string starts with one
+  diagonal-only row per minimal element, and the next row holds the
+  least down-set of a height-1 element, packed at the end of that cell
+  (see canon).  So R's rows 0..m-1 are diagonal-only and its row m has d
+  bits below the diagonal.  Rule 1, s empty: k is minimal in C - y,
+  which so has m + 1 minimal elements and a diagonal-only row m.  Rule 2,
+  s not empty: C - y has R's m minimal elements and k of height 1, so its
+  row m has at most |s| < d bits.  Either way C - y has a least string
+  below R's at row m and equal before it.  The top-left block of C's
+  canonical matrix is no greater than the least string of any C - x, x
+  maximal (see canon), so it is below R, and the search would reject C.
+
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
   order n reached by composing one class of order a with one of order
@@ -53,9 +73,9 @@ from typing import Iterable, Mapping, Sequence
 from .canon import (
     CanonicalKey,
     Generators,
+    ParentSetup,
     SearchRecord,
     canonical_form,
-    canonical_search,
     position_orbits,
 )
 from .compose import CompositionKind, compose
@@ -218,29 +238,44 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
     return leaders
 
 
+def _rule_bounds(masks: Sequence[int], k: int) -> tuple[int, int]:
+    """Min(R) and d of a representative R (see above): a child over s inside Min(R) with |s| < d is ruled out."""
+    minimal = sum(1 << y for y in range(k) if masks[y] == 1 << y)
+    sizes = [(row ^ 1 << y).bit_count() for y, row in enumerate(masks) if row != 1 << y and row & ~minimal == 1 << y]
+    return minimal, min(sizes, default=0)
+
+
 def _extend_chunk(args: tuple[list[tuple[int, Generators]], int, bool]) -> list[tuple[int, Generators]]:
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
     Each parent, a packed key with generators of automorphisms of its
-    canonical matrix, tops its representative with one ideal per orbit of
-    those generators and keeps the child only if the child's canonical
-    form begins with the parent's rows.  Two orbits of one parent can
-    still give the same class, so each parent dedupes its own children;
-    no two parents keep the same class.  Returns the kept keys, each with
-    its search's generators moved into canonical positions, or with none
-    when `last` says no level follows.
+    canonical matrix, is set up for the search once.  It tops its
+    representative with one ideal per orbit of those generators, drops
+    the ideals ruled out (see above) and keeps the child only if the
+    child's canonical form begins with the parent's rows.  Two orbits of
+    one parent can still give the same class, so each parent dedupes its
+    own children; no two parents keep the same class.  Returns the kept
+    keys, each with its search's generators moved into canonical
+    positions, or with none when `last` says no level follows.
     """
     parents, k, last = args
     kept: list[tuple[int, Generators]] = []
     for packed, gens in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
-        masks = CanonicalKey(k, packed).matrix().masks
+        parent = ParentSetup(k, packed)
+        minimal, least = _rule_bounds(parent.masks, k)
         children: dict[int, Generators] = {}
-        for s in _ideal_orbit_leaders(masks, k, gens):
-            record = canonical_search(k + 1, masks + (s | 1 << k,), packed)
+        for s in _ideal_orbit_leaders(parent.masks, k, gens):
+            if not s & ~minimal and s.bit_count() < least:
+                continue  # R is not the child's canonical parent
+            record = parent.search(s)
             if record is not None and record.packed not in children:
-                children[record.packed] = () if last else _in_canonical_positions(record)
+                if last:
+                    children[record.packed] = ()
+                else:
+                    record = record._replace(generators=parent.twin_swaps(s) + record.generators)
+                    children[record.packed] = _in_canonical_positions(record)
         kept += children.items()
     return kept
 

@@ -20,7 +20,8 @@ from posetmat import (
     run_order5_table,
 )
 from posetmat import enumeration
-from posetmat.canon import canonical_search, position_orbits
+from posetmat import canon
+from posetmat.canon import ParentSetup, canonical_search, position_orbits
 from posetmat.cli import main
 from posetmat.core import default_labels
 from posetmat.compose import CompositionKind, compose
@@ -34,7 +35,7 @@ from posetmat.enumeration import (
 )
 
 from conftest import iter_all_posets
-from reference import has_induced_n, ideals, iter_matrices, square_closure
+from reference import automorphism_orbits, has_induced_n, ideals, iter_matrices, square_closure
 
 # Naturally-labeled matrix counts; the class counts live in KNOWN_COUNTS.
 LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -124,18 +125,127 @@ def test_oracle_order9_last_level():
 
 
 def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
+    topped = {}
     searches = {}
-    real = enumeration.canonical_search
+    leaders = enumeration._ideal_orbit_leaders
+    search = ParentSetup.search
 
-    def counting(n, masks, parent=None):
-        searches[n] = searches.get(n, 0) + 1
-        return real(n, masks, parent)
+    def counting_leaders(masks, k, gens):
+        found = leaders(masks, k, gens)
+        topped[k + 1] = topped.get(k + 1, 0) + len(found)
+        return found
 
-    monkeypatch.setattr(enumeration, "canonical_search", counting)
+    def counting_search(parent, s):
+        searches[parent.k + 1] = searches.get(parent.k + 1, 0) + 1
+        return search(parent, s)
+
+    monkeypatch.setattr(enumeration, "_ideal_orbit_leaders", counting_leaders)
+    monkeypatch.setattr(ParentSetup, "search", counting_search)
     enumerate_oracle(7)
-    # One per Aut-orbit of the ideals of each parent, against 2, 7, 27,
-    # 126, 711 and 5,439 ideals.
-    assert searches == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+    # One ideal per Aut-orbit of the ideals of each parent, against 2, 7,
+    # 27, 126, 711 and 5,439 ideals; the ruled-out ones are not searched.
+    assert topped == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+    assert searches == {2: 2, 3: 5, 4: 17, 5: 80, 6: 486, 7: 3706}
+
+
+def oracle_candidates(n):
+    """(parent key, parent set-up, ideal, whether a rule rules it out) for each candidate of orders 2..n.
+
+    The candidates are those the oracle tops: each level's parents carry
+    the generators that `_extend_chunk` found for them.
+    """
+    parents = [(1, ())]
+    for k in range(1, n):
+        if k > 1:
+            parents = enumeration._extend_chunk((parents, k - 1, False))
+        for packed, gens in parents:
+            parent = ParentSetup(k, packed)
+            minimal, least = enumeration._rule_bounds(parent.masks, k)
+            for s in enumeration._ideal_orbit_leaders(parent.masks, k, gens):
+                yield packed, parent, s, not s & ~minimal and s.bit_count() < least
+
+
+def assert_prepared_search_is_the_fresh_search(n):
+    """Compare the set-up and record of every candidate with a fresh search; return the accepted count."""
+    accepted = 0
+    for packed, parent, s, _ in oracle_candidates(n):
+        k = parent.k
+        child = parent.masks + (s | 1 << k,)
+        blocks, above, _ = canon._setup(k + 1, child)
+        assert parent.setup(s) == (blocks, above), (k, s)
+        record = parent.search(s)
+        fresh = canonical_search(k + 1, child, packed)
+        if record is None:
+            assert fresh is None, (k, s)
+        else:
+            accepted += 1
+            assert record._replace(generators=parent.twin_swaps(s) + record.generators) == fresh, (k, s)
+    return accepted
+
+
+def test_prepared_search_is_the_fresh_search():
+    # Each class is accepted once through order 7.
+    assert assert_prepared_search_is_the_fresh_search(7) == sum(KNOWN_COUNTS[n][0] for n in range(2, 8))
+
+
+@pytest.mark.slow
+def test_prepared_search_is_the_fresh_search_order8():
+    # Order 8 accepts one class twice (see the pseudo-similar test below).
+    assert assert_prepared_search_is_the_fresh_search(8) == sum(KNOWN_COUNTS[n][0] for n in range(2, 9)) + 1
+
+
+def rule_counts(n):
+    """Candidates ruled out per level, with an empty ideal and with a non-empty one."""
+    empty, nonempty = {}, {}
+    for packed, parent, s, ruled_out in oracle_candidates(n):
+        if ruled_out:
+            child = parent.masks + (s | 1 << parent.k,)
+            assert canonical_search(parent.k + 1, child, packed) is None, (parent.masks, s)
+            counts = nonempty if s else empty
+            counts[parent.k + 1] = counts.get(parent.k + 1, 0) + 1
+    return empty, nonempty
+
+
+# The empty ideal is ruled out under every parent but the antichain.
+EMPTY_RULED_OUT = {3: 1, 4: 4, 5: 15, 6: 62, 7: 317, 8: 2044}
+NONEMPTY_RULED_OUT = {4: 1, 5: 6, 6: 28, 7: 139, 8: 831}
+
+
+def test_ruled_out_children_are_rejected_by_the_search():
+    empty, nonempty = rule_counts(7)
+    assert empty == {n: c for n, c in EMPTY_RULED_OUT.items() if n <= 7}
+    assert nonempty == {n: c for n, c in NONEMPTY_RULED_OUT.items() if n <= 7}
+
+
+@pytest.mark.slow
+def test_ruled_out_children_are_rejected_by_the_search_order8():
+    assert rule_counts(8) == (EMPTY_RULED_OUT, NONEMPTY_RULED_OUT)
+
+
+@pytest.mark.slow
+def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points():
+    # 17,000 children are accepted for the 16,999 classes of order 8.
+    first = {}  # (parent key, child key) -> the first ideal accepted for it
+    duplicates = []
+    for packed, parent, s, _ in oracle_candidates(8):
+        record = parent.search(s) if parent.k == 7 else None
+        if record is not None:
+            if (packed, record.packed) in first:
+                duplicates.append((parent.masks, first[packed, record.packed], s))
+            first.setdefault((packed, record.packed), s)
+    assert duplicates == [((1, 2, 4, 12, 18, 54, 65), 0b0001101, 0b1000011)]
+    masks, s, t = duplicates[0]
+    # The parent is rigid, so no generators are missing: the two ideals are
+    # in different orbits of Aut(parent).
+    assert automorphism_orbits(masks) == [1 << x for x in range(7)]
+    one, other = (canonical_search(8, masks + (u | 1 << 7,)) for u in (s, t))
+    # An isomorphism from one child onto the other maps its point 5 onto
+    # the other's new point 7, so deleting 5 or 7 from the first leaves
+    # the parent.  That child is rigid too, so no automorphism maps 7 to
+    # 5: they are pseudo-similar points.
+    assert one.packed == other.packed
+    assert one.labelling[other.labelling.index(7)] == 5
+    assert automorphism_orbits(masks + (s | 1 << 7,)) == [1 << x for x in range(8)]
 
 
 def test_orbit_skips_change_no_oracle_level(monkeypatch):
