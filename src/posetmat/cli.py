@@ -21,7 +21,8 @@ from .core import (
     is_connected,
     maximal_elements,
     minimal_elements,
-    validate_axioms,
+    normalize_masks,
+    validate_masks,
 )
 from .enumeration import KNOWN_COUNTS, count_table, emit_catalog, method_catalogs
 from .io import (
@@ -49,8 +50,8 @@ def _load(source: str) -> PosetMatrix:
 
 
 def _cmd_validate(args) -> int:
-    rows, _ = parse_candidate(_read_text(args.matrix))
-    report = validate_axioms(rows)
+    masks, _ = parse_candidate(_read_text(args.matrix))
+    report = validate_masks(masks)
     print(report.summary())
     if report.ok and not report.lower_triangular_ok:
         print("hint: storage order is not a linear extension; see `normalize`")
@@ -58,10 +59,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from .core import normalize_linear_extension
-
-    rows, labels = parse_candidate(_read_text(args.matrix))
-    print(serialize_matrix(normalize_linear_extension(rows, labels)), end="")
+    masks, labels = parse_candidate(_read_text(args.matrix))
+    print(serialize_matrix(normalize_masks(masks, labels)), end="")
     return OK
 
 

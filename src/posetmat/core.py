@@ -8,8 +8,11 @@ so every accepted matrix is lower-triangular; candidates that satisfy the
 order axioms under some other row order can be repaired with
 `normalize_linear_extension`.
 
-The package reads only the masks.  The 0/1 rows of `rows_from_masks`
-(``PosetMatrix.rel``) are kept for callers outside it that index cells.
+The package reads only the masks; `io` reads them straight from text.
+The 0/1 rows of `rows_from_masks` (``PosetMatrix.rel``) are kept for
+callers outside it that index cells.  Each entry point taking 0/1 rows is
+`_coerce_masks` then its mask twin (`PosetMatrix.from_masks`,
+`validate_masks`, `normalize_masks`), so both pass the same checks.
 
 Elements are named by their 0-based positions.  Labels are distinct
 strings, non-empty and free of the file format's separators (whitespace,
@@ -142,16 +145,13 @@ def validate_axioms(candidate: Sequence[Sequence[int]]) -> ValidationReport:
     return validate_masks(_coerce_masks(candidate))
 
 
-def _order_axioms_hold(
-    candidate: Sequence[Sequence[int]], labels: Sequence[str] | None
-) -> tuple[Masks, tuple[str, ...], ValidationReport]:
-    """Coerced masks, labels and report of a candidate; raises unless the axioms hold."""
-    masks = _coerce_masks(candidate)
+def _order_axioms_hold(masks: Masks, labels: Sequence[str] | None) -> tuple[tuple[str, ...], ValidationReport]:
+    """Coerced labels and report of candidate row masks; raises unless the axioms hold."""
     labs = _coerce_labels(len(masks), labels)
     report = validate_masks(masks)
     if not report.ok:
         raise InvalidPosetError("candidate violates the order axioms:\n" + report.summary(), report)
-    return masks, labs, report
+    return labs, report
 
 
 def validate_masks(masks: Masks) -> ValidationReport:
@@ -193,8 +193,8 @@ def validate_masks(masks: Masks) -> ValidationReport:
 class PosetMatrix:
     """A validated, lower-triangular poset matrix held as low-bit row masks.
 
-    Build through `from_rows` (full validation) rather than the bare
-    constructor; anything that reaches the constructor is trusted.
+    Build through `from_rows` or `from_masks` (full validation) rather
+    than the bare constructor; anything that reaches it is trusted.
     """
 
     masks: Masks
@@ -206,7 +206,12 @@ class PosetMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> "PosetMatrix":
-        masks, labs, report = _order_axioms_hold(rows, labels)
+        return PosetMatrix.from_masks(_coerce_masks(rows), labels)
+
+    @staticmethod
+    def from_masks(masks: Masks, labels: Sequence[str] | None = None) -> "PosetMatrix":
+        """`from_rows` on row masks, which are trusted to be n >= 1 ints below 2**n."""
+        labs, report = _order_axioms_hold(masks, labels)
         if not report.lower_triangular_ok:
             raise StorageOrderError(
                 "storage order is not a linear extension; apply normalize_linear_extension first", report
@@ -332,7 +337,12 @@ def normalize_linear_extension(
     deterministic.  Fails with the validation report if the axioms do not
     hold under any order.
     """
-    masks, labs, _ = _order_axioms_hold(candidate, labels)
+    return normalize_masks(_coerce_masks(candidate), labels)
+
+
+def normalize_masks(masks: Masks, labels: Sequence[str] | None = None) -> PosetMatrix:
+    """`normalize_linear_extension` on row masks, trusted as in `validate_masks`."""
+    labs, _ = _order_axioms_hold(masks, labels)
     placed: list[int] = []
     done = 0
     for _ in masks:

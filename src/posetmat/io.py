@@ -13,6 +13,12 @@ The first significant line is the order, an optional ``labels:`` line
 names the elements, then one space-separated 0/1 row per line.  The
 labels line is omitted on output when the labels are the default 1..n.
 
+A row is read as one integer: its whitespace-separated cells must number
+n and join to n characters, all ``0`` or ``1`` (so ``01``, ``1_0``,
+``+1`` or a full-width digit, which ``int`` would take, fail the row),
+and the joined string read backwards in base 2 is its mask.  Only a row
+failing that check is walked cell by cell, to name its first bad cell.
+
 Recipe grammar (whitespace optional)::
 
     expr    := operand OPER operand
@@ -32,6 +38,7 @@ from typing import Mapping
 from .compose import CompositionKind, CompositionResult, compose
 from .core import (
     InvalidPosetError,
+    Masks,
     PosetMatrix,
     default_labels,
     dual,
@@ -46,8 +53,8 @@ class MatrixParseError(Exception):
         self.line = line
 
 
-def parse_candidate(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...] | None]:
-    """Parse the text format without validating the order axioms."""
+def parse_candidate(text: str) -> tuple[Masks, tuple[str, ...] | None]:
+    """Parse the text format into row masks and labels, without checking the order axioms."""
     items: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,26 +86,26 @@ def parse_candidate(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, 
         raise MatrixParseError(
             f"expected {order} rows, found {len(rest)}", where
         )
-    rows = []
+    masks = []
     for lineno, line in rest:
         cells = line.split()
         if len(cells) != order:
             raise MatrixParseError(
                 f"row has {len(cells)} entries, expected {order}", lineno
             )
-        row = []
-        for cell in cells:
-            if cell not in ("0", "1"):
-                raise MatrixParseError(f"entry {cell!r} is not 0 or 1", lineno)
-            row.append(int(cell))
-        rows.append(tuple(row))
-    return tuple(rows), labels
+        bits = "".join(cells)
+        # n cells in n characters are one character each; stripping 0s and 1s leaves any other.
+        if len(bits) != order or bits.strip("01"):
+            cell = next(cell for cell in cells if cell not in ("0", "1"))
+            raise MatrixParseError(f"entry {cell!r} is not 0 or 1", lineno)
+        masks.append(int(bits[::-1], 2))
+    return tuple(masks), labels
 
 
 def parse_matrix(text: str) -> PosetMatrix:
     """Parse, validate the axioms, and require lower-triangular storage."""
-    rows, labels = parse_candidate(text)
-    return PosetMatrix.from_rows(rows, labels)
+    masks, labels = parse_candidate(text)
+    return PosetMatrix.from_masks(masks, labels)
 
 
 def serialize_matrix(m: PosetMatrix | CompositionResult) -> str:

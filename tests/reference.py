@@ -1,5 +1,10 @@
 """Reference implementations of axiom validation, composition and canonical search.
 
+`parse_candidate` is the text reader that reads a matrix file cell by
+cell into 0/1 rows, one `int` per cell, where `posetmat.io` reads each
+row as one integer.  Tests require `posetmat.parse_matrix` to equal
+`PosetMatrix.from_rows` over its rows, or to raise the same error.
+
 `validate_axioms` and `compose` are the straightforward tuple-of-tuples
 versions that the row-mask core replaced.  They read only `rel` and
 `labels` of their operands and share no code with `posetmat.core` or
@@ -39,8 +44,52 @@ import posetmat
 from posetmat.core import ValidationReport
 from posetmat.enumeration import MAX_ORACLE_ORDER
 from posetmat.generators import GENERATORS
+from posetmat.io import MatrixParseError
 
 Rows = tuple[tuple[int, ...], ...]
+
+
+def parse_candidate(text: str) -> tuple[Rows, tuple[str, ...] | None]:
+    """0/1 rows and labels of a matrix file, read cell by cell; no order axiom is checked."""
+    items: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            items.append((lineno, line))
+    if not items:
+        raise MatrixParseError("empty input", 1)
+    lineno, head = items[0]
+    try:
+        order = int(head)
+    except ValueError:
+        raise MatrixParseError(f"expected the order, got {head!r}", lineno) from None
+    if order < 1:
+        raise MatrixParseError(f"order must be positive, got {order}", lineno)
+    rest = items[1:]
+    labels = None
+    if rest and rest[0][1].startswith("labels:"):
+        lineno, line = rest[0]
+        labels = tuple(line[len("labels:"):].split())
+        if len(labels) != order:
+            raise MatrixParseError(f"{len(labels)} labels for order {order}", lineno)
+        if len(set(labels)) != order:
+            raise MatrixParseError("labels must be distinct", lineno)
+        rest = rest[1:]
+    if len(rest) != order:
+        where = rest[-1][0] if rest else lineno
+        raise MatrixParseError(f"expected {order} rows, found {len(rest)}", where)
+    rows = []
+    for lineno, line in rest:
+        cells = line.split()
+        if len(cells) != order:
+            raise MatrixParseError(f"row has {len(cells)} entries, expected {order}", lineno)
+        row = []
+        for cell in cells:
+            if cell not in ("0", "1"):
+                raise MatrixParseError(f"entry {cell!r} is not 0 or 1", lineno)
+            row.append(int(cell))
+        rows.append(tuple(row))
+    return tuple(rows), labels
 
 
 def validate_axioms(rows: Rows) -> ValidationReport:

@@ -174,8 +174,8 @@ def test_compose_relabel_invalid_output_omits_default_labels(tmp_path, capsys):
     assert code == 1
     assert out.startswith("5\n1 0 0 0 0\n")
     assert "labels:" not in out
-    rows = compose(chain(4), CompositionKind.TRI_UP, 3, chain(2)).rows
-    assert parse_candidate(out) == (rows, None)
+    masks = compose(chain(4), CompositionKind.TRI_UP, 3, chain(2)).masks
+    assert parse_candidate(out) == (masks, None)
     assert "invalid composition output:" in err
 
 

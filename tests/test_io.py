@@ -1,14 +1,16 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from posetmat import (
     CompositionKind,
     MatrixParseError,
+    PosetError,
     PosetMatrix,
     RecipeError,
     StorageOrderError,
     canonical_form,
     compose,
+    default_labels,
     dual,
     eval_recipe,
     named_operands,
@@ -20,6 +22,7 @@ from posetmat import (
 from posetmat.generators import chain
 from posetmat.io import MAX_RECIPE_DEPTH, parse_candidate
 
+import reference
 from conftest import poset_matrices
 
 
@@ -60,29 +63,102 @@ def test_parse_allows_comments_and_blank_lines():
     assert m.labels == ("a", "b", "c")
 
 
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("", 1),
-        ("banana", 1),
-        ("0", 1),
-        ("2\n1 0", 2),
-        ("2\n1 0\n1 1\n0 1", 4),
-        ("2\n1 0 0\n1 1", 2),
-        ("2\n1 x\n1 1", 2),
-        ("2\nlabels: only\n1 0\n0 1", 2),
-        ("2\nlabels: a a\n1 0\n0 1", 2),
-    ],
-)
+# Text -> (line, message).  From '01' on, most bad cells are ones that
+# int(..., 2) would accept or misread.
+PARSE_ERRORS = {
+    "": (1, "empty input"),
+    "banana": (1, "expected the order, got 'banana'"),
+    "0": (1, "order must be positive, got 0"),
+    "2\n1 0": (2, "expected 2 rows, found 1"),
+    "2\n1 0\n1 1\n0 1": (4, "expected 2 rows, found 3"),
+    "2\n1 0 0\n1 1": (2, "row has 3 entries, expected 2"),
+    "2\n1 x\n1 1": (2, "entry 'x' is not 0 or 1"),
+    "2\nlabels: only\n1 0\n0 1": (2, "1 labels for order 2"),
+    "2\nlabels: a a\n1 0\n0 1": (2, "labels must be distinct"),
+    "2\n01 1\n1 1": (2, "entry '01' is not 0 or 1"),
+    "1\n10": (2, "entry '10' is not 0 or 1"),
+    "2\n1 0\n1_0 1": (3, "entry '1_0' is not 0 or 1"),
+    "2\n+1 0\n1 1": (2, "entry '+1' is not 0 or 1"),
+    "2\n1 0\n1.0 1": (3, "entry '1.0' is not 0 or 1"),
+    "2\n1 \uff10\n1 1": (2, "entry '\uff10' is not 0 or 1"),  # full-width zero
+    "2\n1 0\n\u0661 1": (3, "entry '\u0661' is not 0 or 1"),  # Arabic-Indic one
+    "3\n1 0 0\n1 1 0\n1 1 2": (4, "entry '2' is not 0 or 1"),
+    "2\r\n1 0\r\n1 01\r\n": (3, "entry '01' is not 0 or 1"),
+    "2\nlabels: a#b\n1 0\n1 1": (2, "1 labels for order 2"),  # '#' starts a comment
+}
+
+
+@pytest.mark.parametrize("text,line", [(text, line) for text, (line, _) in PARSE_ERRORS.items()])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text)
     assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {PARSE_ERRORS[text][1]}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\n1\t0\n1\t1",
+        "2\r\n1 0\r\n1 1\r\n",
+        "2\n1 0 # bottom\n1 1#top\n",
+        "2\nlabels: 1 2 # default names\n1 0\n1 1",
+    ],
+)
+def test_parse_reads_tabs_crlf_and_trailing_comments(text):
+    assert parse_matrix(text) == chain(2)
+
+
+# Replacements for one cell: a missing or extra cell, a comment, and cells int(..., 2) accepts or misreads.
+CORRUPT_CELLS = ["", "0 0", "2", "01", "10", "1_0", "+1", "-0", "1.0", "0b1", "\uff10", "\u0661", "x", "#"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """Serialized random posets, re-spaced; half have one cell flipped or replaced."""
+    m = draw(poset_matrices(max_order=6))
+    if draw(st.booleans()):
+        m = m.relabelled(draw(st.permutations(["a", "b", "c", "d", "e", "f"]))[: m.order])
+    sep, end = draw(st.sampled_from([" ", "\t", "  "])), draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [line.split() for line in serialize_matrix(m).splitlines()]
+    if draw(st.booleans()):
+        y = len(lines) - m.order + draw(st.integers(0, m.order - 1))
+        z = draw(st.integers(0, m.order - 1))
+        cells = lines[y]
+        cells[z] = draw(st.one_of(st.just(str(1 - int(cells[z]))), st.sampled_from(CORRUPT_CELLS)))
+    return end.join(sep.join(cells) for cells in lines) + end
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (MatrixParseError, PosetError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+@given(matrix_texts())
+def test_parse_matrix_agrees_with_the_cell_by_cell_reader(text):
+    def slow():
+        rows, labels = reference.parse_candidate(text)
+        return PosetMatrix.from_rows(rows, labels)
+
+    assert _outcome(lambda: parse_matrix(text)) == _outcome(slow)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_serialize_parse_round_trip_on_every_labelled_matrix(n):
+    labels = tuple("abcde"[:n])
+    for masks in reference.iter_matrices(n):
+        for m in (PosetMatrix(masks, default_labels(n)), PosetMatrix(masks, labels)):
+            text = serialize_matrix(m)
+            assert parse_matrix(text) == m
+            assert parse_candidate(text) == (masks, None if m.labels == default_labels(n) else labels)
+            assert reference.parse_candidate(text)[0] == m.rel
 
 
 def test_parse_candidate_skips_axiom_checks():
-    rows, labels = parse_candidate("2\n1 1\n1 1")
-    assert rows == ((1, 1), (1, 1))
+    masks, labels = parse_candidate("2\n1 1\n1 1")
+    assert masks == (0b11, 0b11)
     assert labels is None
 
 
