@@ -9,9 +9,10 @@ Matrix file layout::
     1 1 0
     1 0 1
 
-The first significant line is the order, an optional ``labels:`` line
-names the elements, then one space-separated 0/1 row per line.  The
-labels line is omitted on output when the labels are the default 1..n.
+The first significant line is the order, in ASCII digits, an optional
+``labels:`` line names the elements, then one space-separated 0/1 row
+per line.  The labels line is omitted on output when the labels are the
+default 1..n.
 
 A row is read as one integer: its whitespace-separated cells must number
 n and join to n characters, all ``0`` or ``1`` (so ``01``, ``1_0``,
@@ -23,7 +24,7 @@ Recipe grammar (whitespace optional)::
 
     expr    := operand OPER operand
     operand := NAME | '(' expr ')'
-    OPER    := ('sq@' | 'up@' | 'dn@') INT
+    OPER    := ('sq@' | 'up@' | 'dn@') INT    (INT: ASCII digits)
 
 Names resolve against a symbol table; ``X*`` means the dual of ``X``
 unless the table has a literal ``X*`` entry.  C2 (chain) and I2
@@ -63,10 +64,10 @@ def parse_candidate(text: str) -> tuple[Masks, tuple[str, ...] | None]:
     if not items:
         raise MatrixParseError("empty input", 1)
     lineno, head = items[0]
-    try:
-        order = int(head)
-    except ValueError:
-        raise MatrixParseError(f"expected the order, got {head!r}", lineno) from None
+    # ASCII digits only: `int` also takes a sign, `_` and non-ASCII digits.
+    if not (head.isascii() and head.isdigit()):
+        raise MatrixParseError(f"expected the order, got {head!r}", lineno)
+    order = int(head)
     if order < 1:
         raise MatrixParseError(f"order must be positive, got {order}", lineno)
     rest = items[1:]
@@ -159,7 +160,7 @@ class RecipeCall:
 # A name stops where an operation starts, so whitespace around one is optional.
 _OPER = "(?:" + "|".join(kind.value for kind in CompositionKind) + ")@"
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<oper>{_OPER}\d+)|(?P<name>[A-Za-z_](?:(?!{_OPER})[A-Za-z0-9_])*\*?)"
+    rf"\s*(?:(?P<oper>{_OPER}[0-9]+)|(?P<name>[A-Za-z_](?:(?!{_OPER})[A-Za-z0-9_])*\*?)"
     r"|(?P<paren>[()])|(?P<bad>\S))"
 )
 

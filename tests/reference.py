@@ -38,6 +38,7 @@ exactly the posets with no induced N (Valdes, Tarjan & Lawler, SIAM J.
 Comput. 1982; OEIS A003430).  `has_induced_n` tests for an N by
 bitmasks, so tests can check that identity against the oracle's classes.
 """
+import re
 from typing import Iterator
 
 import posetmat
@@ -59,10 +60,9 @@ def parse_candidate(text: str) -> tuple[Rows, tuple[str, ...] | None]:
     if not items:
         raise MatrixParseError("empty input", 1)
     lineno, head = items[0]
-    try:
-        order = int(head)
-    except ValueError:
-        raise MatrixParseError(f"expected the order, got {head!r}", lineno) from None
+    if re.fullmatch("[0-9]+", head) is None:
+        raise MatrixParseError(f"expected the order, got {head!r}", lineno)
+    order = int(head)
     if order < 1:
         raise MatrixParseError(f"order must be positive, got {order}", lineno)
     rest = items[1:]

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -10,12 +11,19 @@ from posetmat import (
     PosetMatrix,
     are_isomorphic,
     canonical_form,
+    CompositionKind,
     composition_closure,
+    compose,
     dual,
     enumerate_oracle,
+    eval_recipe,
     normalize_linear_extension,
+    parse_matrix,
+    parse_recipe,
+    serialize_matrix,
 )
-from posetmat.canon import canonical_search, position_orbits
+from posetmat import canon
+from posetmat.canon import ParentSetup, canonical_search, position_orbits
 from posetmat.generators import antichain, chain
 
 import reference
@@ -431,3 +439,51 @@ def test_generator_orbits_are_the_automorphism_orbits_of_the_closure_representat
     assert len(reps) == 401
     for m in reps:
         assert position_orbits(m) == automorphism_orbits(m.masks), m.masks
+
+
+def refuse_a_long_chain():
+    refused = False
+    try:
+        canonical_search(1100, tuple((2 << y) - 1 for y in range(1100)))
+    except ValueError:
+        refused = True
+    assert refused
+
+
+I2_KEY, C2_KEY = 0b1001, 0b1011  # the 2-antichain and 2-chain, as packed keys
+V_TEXT = "3\n1 0 0\n0 1 0\n1 1 1\n"
+
+# Library calls on the paths of a request, from text to answer.
+LIBRARY_CALLS = {
+    "search": lambda: canonical_search(4, (1, 2, 4, 15)),
+    # The accepted and rejected child of test_bounded_search_returns_the_record_of_an_accepted_child.
+    "bounded-accept": lambda: canonical_search(3, (1, 2, 4), I2_KEY),
+    "bounded-reject": lambda: canonical_search(3, (1, 2, 4), C2_KEY),
+    "refused-chain": refuse_a_long_chain,
+    "parent-setup": lambda: [ParentSetup(2, C2_KEY).search(s) for s in (0, 1, 3)],  # rejects, accepts, accepts
+    "canonical_form": lambda: canonical_form(parse_matrix(V_TEXT)),
+    "are_isomorphic": lambda: are_isomorphic(parse_matrix(V_TEXT), dual(parse_matrix(V_TEXT))),
+    "position_orbits": lambda: position_orbits(parse_matrix(V_TEXT)),
+    "key-parse": lambda: CanonicalKey.parse(canonical_form(parse_matrix(V_TEXT)).render()),
+    "oracle": lambda: enumerate_oracle(6),
+    "closure": lambda: composition_closure(6),
+    "parse-compose-serialize": lambda: serialize_matrix(
+        compose(parse_matrix(V_TEXT), CompositionKind.TRI_UP, 3, parse_matrix(V_TEXT))
+    ),
+    "recipe": lambda: eval_recipe(parse_recipe("(C2 sq@1 I2) up@2 C2*")).poset(),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS)
+def test_calls_leave_no_garbage_for_the_cyclic_collector(call):
+    # Reference counting alone must free what each call builds: a cycle
+    # per search leaves the collector to run inside later requests.
+    canon._canonical_record.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        unreachable = gc.collect()
+        gc.enable()
+    assert unreachable == 0

@@ -6,6 +6,7 @@ from posetmat import (
     MalformedMatrixError,
     PosetMatrix,
     StorageOrderError,
+    ValidationReport,
     default_labels,
     dual,
     hasse_edges,
@@ -16,6 +17,7 @@ from posetmat import (
     normalize_linear_extension,
     validate_axioms,
 )
+from posetmat.core import validate_masks
 from posetmat.generators import antichain, chain
 
 from conftest import poset_matrices
@@ -62,6 +64,30 @@ def test_validate_collects_all_violations_not_just_first():
     report = validate_axioms(rows)
     kinds = {kind for kind, _ in report.violations}
     assert "reflexive" in kinds and "transitive" in kinds
+
+
+def test_validate_ends_on_a_row_missing_its_diagonal():
+    # Row 0 is empty, so its member bit must be cleared apart from its row.
+    assert validate_masks((0, 3)) == ValidationReport(False, True, True, True, (("reflexive", (0,)),))
+
+
+class BudgetedMasks(tuple):
+    """Row masks that fail the test once read by index more than `budget` times."""
+
+    budget = 0
+
+    def __getitem__(self, index):
+        BudgetedMasks.budget -= 1
+        assert BudgetedMasks.budget >= 0, "too many row lookups"
+        return tuple.__getitem__(self, index)
+
+
+def test_validate_looks_up_each_row_of_a_chain_about_once():
+    # A member whose row has passed covers the rows of its own members.
+    n = 20_000
+    masks = BudgetedMasks((2 << y) - 1 for y in range(n))
+    BudgetedMasks.budget = 2 * n
+    assert validate_masks(masks).ok
 
 
 def test_float_and_bool_cells_read_as_0_and_1():

@@ -69,6 +69,12 @@ PARSE_ERRORS = {
     "": (1, "empty input"),
     "banana": (1, "expected the order, got 'banana'"),
     "0": (1, "order must be positive, got 0"),
+    # The order line takes ASCII digits only, as rows do.
+    "1_0": (1, "expected the order, got '1_0'"),
+    "+2\n1 0\n1 1": (1, "expected the order, got '+2'"),
+    "-1": (1, "expected the order, got '-1'"),
+    "\u0662\n1 0\n1 1": (1, "expected the order, got '\u0662'"),  # Arabic-Indic two
+    "\uff12\n1 0\n1 1": (1, "expected the order, got '\uff12'"),  # full-width two
     "2\n1 0": (2, "expected 2 rows, found 1"),
     "2\n1 0\n1 1\n0 1": (4, "expected 2 rows, found 3"),
     "2\n1 0 0\n1 1": (2, "row has 3 entries, expected 2"),
@@ -262,6 +268,8 @@ def test_recipe_names_may_end_in_an_operation_name():
         "C2 sq@1 C2 sq@2 C2",
         "C2 sq@0 C2",
         "C2 sq@3 C2",
+        "C2 sq@\uff11 C2",  # full-width one
+        "C2 sq@+1 C2",
     ],
 )
 def test_recipe_rejects_malformed_input(text):
@@ -361,6 +369,7 @@ RECIPE_ERRORS = [
     ("C2 sq@1", "unexpected end of recipe", (7, 7)),
     ("C2 C2", "expected an operation, got 'C2'", (3, 5)),
     ("()", "expected a name or '(', got ')'", (1, 2)),
+    ("C2 sq@\u0661 C2", "unrecognized input '@\u0661 C2'", (5, 6)),  # positions are ASCII digits
 ]
 
 
