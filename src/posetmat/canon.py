@@ -125,9 +125,9 @@ and the automorphisms it met, so no caller searches twice:
   element is below, above or apart from t exactly as from e, so
   exchanging them keeps every relation.  Twins share a cell to the
   leaf, which orders them by index, so the search never meets two
-  leaves that differ by a twin swap; instead it records the swap of
-  each twin with the previous one, and those generate every reordering
-  of a twin class.
+  leaves that differ by a twin swap; instead `canonical_search` opens
+  the record with the swap of each twin with the previous one, and
+  those generate every reordering of a twin class.
 * `nodes` is the number of search frames, one per node.
 
 The generators span a subgroup of Aut(P).  On every class of orders 1
@@ -140,9 +140,14 @@ With a smaller group the caller keeps more choices than it needs, never
 fewer.  The bounded mode returns a record only when it accepts.
 
 Set-up.  Before the first node the search needs the blocks and the
-`above` lists (the blocks whose down-set holds each element).
-`canonical_search` builds them from the row masks, runs the one search
-body, and opens the record's generators with the twin swaps.  The oracle
+`above` lists (the blocks whose down-set holds each element), and no
+up-sets.  `canonical_search` builds them from the row masks, runs the one
+search body, and opens the record's generators with the twin swaps,
+which it builds from the up-sets only when the search returns a record.
+The twin swaps are built only where generators are read: by
+`canonical_search`, by `position_orbits` and by `ParentSetup.twin_swaps`.
+The cached key of `canonical_form`, `are_isomorphic` and
+`CanonicalKey.parse` comes from the search body alone.  The oracle
 searches many children of one representative R of order k, each R topped
 with a new element k over an ideal s, so `ParentSetup` builds R's tables
 once and extends them per child.  No down-set of R changes, and k's is s:
@@ -211,7 +216,7 @@ class CanonicalKey:
             if len(match[2]) == (order * order + 3) // 4 and not packed >> (order * order):
                 masks = _masks(order, packed)
                 report = validate_masks(masks)
-                if report.ok and report.lower_triangular_ok and canonical_search(order, masks).packed == packed:
+                if report.ok and report.lower_triangular_ok and _canonical_record(masks)[0] == packed:
                     return CanonicalKey(order, packed)
         raise ValueError(f"not a canonical key: {text!r}")
 
@@ -266,11 +271,11 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
     to the matrix less some maximal element, the result is None unless
     that class is the matrix's canonical parent (see above).
     """
-    blocks, above, pairs = _setup(n, row_masks)
-    record = _search(n, blocks, above, [] if parent is None else _bound(n - 1, parent))
-    if record is None or not pairs:
-        return record
-    return record._replace(generators=_swaps(n, pairs) + record.generators)
+    record = _search(n, *_setup(n, row_masks), [] if parent is None else _bound(n - 1, parent))
+    if record is None:
+        return None
+    swaps = _swaps(n, _twin_pairs(n, row_masks))
+    return record._replace(generators=swaps + record.generators) if swaps else record
 
 
 def _bound(width: int, parent: int) -> list[int]:
@@ -281,36 +286,22 @@ def _bound(width: int, parent: int) -> list[int]:
 Block = tuple[int, int]  # (down-set, members) of a block, as bitmasks
 
 
-def _setup(n: int, row_masks: Sequence[int]) -> tuple[list[Block], list[list[int]], list[tuple[int, int]]]:
-    """The blocks and `above` lists the search takes, and the twin pairs whose swaps open its record.
+def _setup(n: int, row_masks: Sequence[int]) -> tuple[list[Block], list[list[int]]]:
+    """The blocks and `above` lists the search takes.
 
     Blocks come one per strict down-set, in order of least member;
-    above[x] lists the blocks whose down-set holds x; a pair (t, e) is an
-    element e and the last lower-indexed twin t of it, in order of e.
+    above[x] lists the blocks whose down-set holds x.
     """
-    members, twins = _tables(n, row_masks)
-    blocks = list(members.items())
-    return blocks, _above(n, blocks), _pairs(twins.values())
+    blocks = _blocks(n, row_masks)
+    return blocks, _above(n, blocks)
 
 
-def _tables(n: int, row_masks: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """down -> the elements with that strict down-set, and (down, up) -> those with both, in order of least member."""
-    # down[e]/up[e]: the strict down- and up-sets of element e, as bitmasks.
-    down = [0] * n
-    up = [0] * n
-    for y in range(n):
-        rest = row_masks[y] & ~(1 << y)
-        down[y] = rest
-        while rest:
-            low = rest & -rest
-            up[low.bit_length() - 1] |= 1 << y
-            rest ^= low
+def _blocks(n: int, row_masks: Sequence[int]) -> list[Block]:
     members: dict[int, int] = {}
-    twins: dict[tuple[int, int], int] = {}
     for e in range(n):
-        members[down[e]] = members.get(down[e], 0) | 1 << e
-        twins[down[e], up[e]] = twins.get((down[e], up[e]), 0) | 1 << e
-    return members, twins
+        below = row_masks[e] & ~(1 << e)
+        members[below] = members.get(below, 0) | 1 << e
+    return list(members.items())
 
 
 def _above(n: int, blocks: list[Block]) -> list[list[int]]:
@@ -324,21 +315,25 @@ def _above(n: int, blocks: list[Block]) -> list[list[int]]:
     return above
 
 
-def _pairs(classes: Iterable[int]) -> list[tuple[int, int]]:
-    """Each element of a twin class with the previous one, in order of the later element."""
+def _twin_pairs(n: int, row_masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Each element e with the last lower-indexed twin t of it, as (t, e) in order of e.
+
+    Twins have equal strict down- and up-sets; their swaps open a record's generators.
+    """
+    up = [0] * n  # up[e]: the strict up-set of element e, as a bitmask
+    for y in range(n):
+        rest = row_masks[y] & ~(1 << y)
+        while rest:
+            low = rest & -rest
+            up[low.bit_length() - 1] |= 1 << y
+            rest ^= low
+    last: dict[tuple[int, int], int] = {}  # (down, up) -> the last element seen with both
     pairs = []
-    for cell in classes:
-        if not cell & cell - 1:
-            continue  # a class of one
-        t = -1
-        while cell:
-            low = cell & -cell
-            e = low.bit_length() - 1
-            if t >= 0:
-                pairs.append((t, e))
-            t = e
-            cell ^= low
-    pairs.sort(key=lambda pair: pair[1])
+    for e in range(n):
+        twin = (row_masks[e] & ~(1 << e), up[e])
+        if twin in last:
+            pairs.append((last[twin], e))
+        last[twin] = e
     return pairs
 
 
@@ -354,9 +349,8 @@ class ParentSetup:
         self.k = k
         self.masks = _masks(k, packed)
         self.bound = _bound(k, packed)
-        members = _tables(k, self.masks)[0]
-        self.blocks = list(members.items())
-        self.index = {below: b for b, below in enumerate(members)}  # down-set -> its block
+        self.blocks = _blocks(k, self.masks)
+        self.index = {below: b for b, (below, _) in enumerate(self.blocks)}  # down-set -> its block
         self.above = _above(k + 1, self.blocks)  # the new element is in no down-set
 
     def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
@@ -379,7 +373,7 @@ class ParentSetup:
     def twin_swaps(self, s: int) -> Generators:
         """The twin swaps that open the generators of the child's record."""
         n = self.k + 1
-        return _swaps(n, _pairs(_tables(n, self.masks + (s | 1 << self.k,))[1].values()))
+        return _swaps(n, _twin_pairs(n, self.masks + (s | 1 << self.k,)))
 
     def search(self, s: int) -> SearchRecord | None:
         """`canonical_search` of the child bounded by R, with no twin swaps among its generators."""
@@ -552,11 +546,15 @@ def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
 # Distinct matrices seen: 4,554 by the composition closure to order 7 and
 # 2,114 by a stream of 3,000 mixed library requests, so neither evicts; the
 # bound caps the memory of long-lived processes.  Only the packed key and
-# the generators are kept, and a matrix with no automorphism shares one
-# empty tuple, so an entry costs little more than its key.
+# the automorphisms the search met are kept, with no twin swaps: the keys
+# that `canonical_form`, `are_isomorphic` and `CanonicalKey.parse` read
+# need none, and `position_orbits` builds its own.  A matrix with no
+# automorphism found shares one empty tuple, so an entry costs little more
+# than its key.
 @lru_cache(maxsize=2**15)
 def _canonical_record(masks: Masks) -> tuple[int, Generators]:
-    record = canonical_search(len(masks), masks)
+    n = len(masks)
+    record = _search(n, *_setup(n, masks), [])
     return record.packed, record.generators
 
 
@@ -568,10 +566,11 @@ def canonical_form(m: PosetMatrix) -> CanonicalKey:
 def position_orbits(m: PosetMatrix) -> list[int]:
     """Orbits of the positions of `m`, as bitmasks in order of their least position.
 
-    The group is the one generated by the automorphisms that the canonical
-    search of `m` found (read from the cache), a subgroup of Aut(m).
+    The group is the one generated by the generators of the search record
+    of `m`: its twin swaps, then the automorphisms the search found (read
+    from the cache); a subgroup of Aut(m).
     """
-    gens = _canonical_record(m.masks)[1]
+    gens = _swaps(m.order, _twin_pairs(m.order, m.masks)) + _canonical_record(m.masks)[1]
     orbits = []
     covered = 0
     for x in range(m.order):
@@ -582,6 +581,12 @@ def position_orbits(m: PosetMatrix) -> list[int]:
 
 
 def are_isomorphic(a: PosetMatrix, b: PosetMatrix) -> bool:
-    if a.order != b.order:
+    """Whether `a` and `b` are isomorphic; labels are ignored.
+
+    Isomorphic posets have equal orders and equal down-set size profiles
+    (the sorted row popcounts), so only a pair that agrees on both is
+    searched.
+    """
+    if a.order != b.order or sorted(map(int.bit_count, a.masks)) != sorted(map(int.bit_count, b.masks)):
         return False
     return canonical_form(a) == canonical_form(b)

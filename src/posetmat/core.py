@@ -243,8 +243,11 @@ class PosetMatrix:
 
     @cached_property
     def maximal(self) -> int:
-        """Mask of the positions with nothing strictly above them."""
-        return sum(1 << z for z, mask in enumerate(self.up) if mask == 1 << z)
+        """Mask of the positions with nothing strictly above them: those in no strict down-set."""
+        below = 0
+        for y, mask in enumerate(self.masks):
+            below |= mask ^ 1 << y
+        return (1 << self.order) - 1 & ~below
 
     @property
     def order(self) -> int:

@@ -64,7 +64,6 @@ CPU, serves every level of a call.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,6 +192,8 @@ class _ChunkMap:
         if len(tasks) <= 1:
             return [func(t) for t in tasks]
         if self._pool is None:
+            import multiprocessing  # loaded by the first pool, not by `import posetmat`
+
             # Chunks follow `workers`, so outputs do not depend on the pool size.
             self._pool = multiprocessing.Pool(min(self.workers, os.cpu_count() or 1))
         return self._pool.map(func, tasks)
@@ -326,13 +327,17 @@ def _compose_chunk(
 
     Only the least position of each orbit of a's automorphisms is
     composed (see the module docstring); an invalid output counts once
-    per position of its orbit.
+    per position of its orbit.  Pairs that share an a are adjacent, so
+    its orbits are found once for all of them.
     """
     (pairs,) = args
     best: dict[int, tuple[str, PosetMatrix]] = {}
     invalid = 0
+    last = None
     for a, b in pairs:
-        orbits = position_orbits(a.representative)
+        if a is not last:
+            orbits = position_orbits(a.representative)
+            last = a
         for kind in CompositionKind:
             for orbit in orbits:
                 i = (orbit & -orbit).bit_length()  # the orbit's least position, 1-based

@@ -408,6 +408,80 @@ def test_record_on_random_posets():
             assert_record_holds(relabelled_masks(random_down(rng, n, density), rng))
 
 
+def assert_cached_record_is_the_search_less_twin_swaps(masks):
+    n = len(masks)
+    record = canonical_search(n, masks)
+    twins = canon._swaps(n, canon._twin_pairs(n, masks))
+    assert record.generators[: len(twins)] == twins, masks
+    canon._canonical_record.cache_clear()
+    assert canon._canonical_record(masks) == (record.packed, record.generators[len(twins) :]), masks
+
+
+def test_cached_record_on_every_labelled_matrix():
+    for n in range(1, 7):
+        for masks in iter_matrices(n):
+            assert_cached_record_is_the_search_less_twin_swaps(masks)
+
+
+@pytest.mark.parametrize(
+    "name, k, down", REFERENCE_FAMILIES, ids=[f"{name}-{k}" for name, k, _ in REFERENCE_FAMILIES]
+)
+def test_cached_record_on_relabelled_families(name, k, down):
+    rng = random.Random(f"cached-{name}-{k}")
+    for _ in range(3):
+        assert_cached_record_is_the_search_less_twin_swaps(relabelled_masks(down, rng))
+
+
+def test_cached_record_on_random_posets():
+    rng = random.Random("cached")
+    for n in range(7, 13):
+        for density in (0.1, 0.2, 0.35, 0.5):
+            assert_cached_record_is_the_search_less_twin_swaps(relabelled_masks(random_down(rng, n, density), rng))
+
+
+def test_are_isomorphic_searches_no_pair_whose_profiles_differ(monkeypatch):
+    calls = []
+    search = canon._search
+
+    def counted(n, *args):
+        calls.append(n)
+        return search(n, *args)
+
+    canon._canonical_record.cache_clear()
+    monkeypatch.setattr(canon, "_search", counted)
+    vee = PosetMatrix.from_rows(((1, 0, 0), (1, 1, 0), (1, 0, 1)))  # profile 1, 2, 2
+    wedge = PosetMatrix.from_rows(((1, 0, 0), (0, 1, 0), (1, 1, 1)))  # profile 1, 1, 3
+    assert not are_isomorphic(vee, wedge)
+    assert not are_isomorphic(chain(5), antichain(5))
+    assert calls == []
+    # Equal profiles, 1, 1, 2, 3, are searched: the N against a 3-chain beside a point.
+    assert not are_isomorphic(PosetMatrix.from_masks((1, 2, 7, 10)), PosetMatrix.from_masks((1, 3, 7, 8)))
+    assert calls == [4, 4]
+
+
+def reversed_labelling(m: PosetMatrix) -> PosetMatrix:
+    """The same poset with its positions taken in reverse, put back into a linear extension."""
+    n = m.order
+    return normalize_linear_extension([[m.rel[n - 1 - y][n - 1 - z] for z in range(n)] for y in range(n)])
+
+
+def test_are_isomorphic_refutes_every_pair_of_classes_with_equal_profiles():
+    pairs = 0
+    for n in range(1, 6):
+        by_profile = {}
+        for key in enumerate_oracle(n).entries:
+            m = key.matrix()
+            by_profile.setdefault(tuple(sorted(mask.bit_count() for mask in m.masks)), []).append(m)
+        for reps in by_profile.values():
+            for i, a in enumerate(reps):
+                assert are_isomorphic(a, reversed_labelling(a))
+                for b in reps[i + 1 :]:
+                    assert not are_isomorphic(a, b), (a.masks, b.masks)
+                    pairs += 1
+    # 2 such pairs of order 4 and 30 of order 5.
+    assert pairs == 32
+
+
 def test_bounded_search_returns_the_record_of_an_accepted_child():
     # I2 topped over the empty ideal is the 3-antichain, whose canonical
     # parent is I2, not C2.

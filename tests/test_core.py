@@ -162,6 +162,23 @@ def test_minimal_maximal_match_definition(m):
     assert maximal_elements(m) == expect_max
 
 
+def maximal_by_transpose(m: PosetMatrix) -> int:
+    """The positions whose column, the up-set, holds only the diagonal."""
+    return sum(1 << z for z, mask in enumerate(m.up) if mask == 1 << z)
+
+
+def test_maximal_is_the_transpose_definition_on_every_labelled_matrix():
+    for n in range(1, 6):
+        for masks in iter_matrices(n):
+            m = PosetMatrix.from_masks(masks)
+            assert m.maximal == maximal_by_transpose(m), masks
+
+
+@given(poset_matrices(max_order=12))
+def test_maximal_is_the_transpose_definition_on_random_posets(m):
+    assert m.maximal == maximal_by_transpose(m)
+
+
 @given(poset_matrices(max_order=6))
 def test_dual_is_an_involution(m):
     assert dual(dual(m)) == m

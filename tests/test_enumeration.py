@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from posetmat import (
     parse_recipe,
     run_order5_table,
 )
+import posetmat
 from posetmat import enumeration
 from posetmat import canon
 from posetmat.canon import ParentSetup, canonical_search, position_orbits
@@ -171,14 +177,14 @@ def assert_prepared_search_is_the_fresh_search(n):
     for packed, parent, s, _ in oracle_candidates(n):
         k = parent.k
         child = parent.masks + (s | 1 << k,)
-        blocks, above, _ = canon._setup(k + 1, child)
-        assert parent.setup(s) == (blocks, above), (k, s)
+        assert parent.setup(s) == canon._setup(k + 1, child), (k, s)
         record = parent.search(s)
         fresh = canonical_search(k + 1, child, packed)
         if record is None:
             assert fresh is None, (k, s)
         else:
             accepted += 1
+            assert parent.twin_swaps(s) == canon._swaps(k + 1, canon._twin_pairs(k + 1, child)), (k, s)
             assert record._replace(generators=parent.twin_swaps(s) + record.generators) == fresh, (k, s)
     return accepted
 
@@ -621,15 +627,24 @@ def test_count_table_rows_equal_per_order_oracle_counts():
 )
 def test_one_pool_serves_every_level_of_a_call(monkeypatch, call):
     opened = []
-    real_pool = enumeration.multiprocessing.Pool
+    real_pool = multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         opened.append(real_pool(*args, **kwargs))
         return opened[-1]
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     call()
     assert len(opened) == 1
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # The first pool loads it; `import posetmat` alone does not.
+    src = str(Path(posetmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, posetmat; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("workers", [0, -4])
@@ -668,7 +683,7 @@ def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, workers, cpus, size):
         def join(self):
             pass
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     render = count_table(5, method="both", expected=KNOWN_COUNTS, workers=workers).render()
     assert sizes == [size]
