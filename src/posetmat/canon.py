@@ -158,6 +158,47 @@ returns the same record, less the twin swaps, which the oracle builds
 only for the children it keeps generators for.  The search only reads
 the tables, so children share what they do not change.
 
+Resuming the parent's path.  The searches of R's children agree until
+the child's ideal s is placed.  Before that, k's block is unavailable:
+k opens a block with down-set s, or joins the block of R with down-set
+s, and either needs s placed.  So a node with s unplaced has R's blocks
+available, with the same rows in every child, since a row reads only
+the node's cells and the fixed elements of R's down-sets.  A block of R
+lies in positions 0..k-1, so no comparison before s is placed reads a
+position >= k.  A best row below k is a bound row, fixed for the whole
+search, since lowering one ends it with None.  So only the fixed bound
+rows decide there.  Orbit skips need found automorphisms, and every
+automorphism is found at a second leaf.
+
+`ParentSetup` searches the child over all of R, s = R, once from the
+root, and records each node.  That child is accepted: k is above every
+element, so it comes last in every linear extension, and its least rows
+are R's plus a full last row.  Its block on {k} is last and alone, so
+every leaf lies below the node that has placed R.  If the search visits
+its nodes in strictly increasing depth, it is a single path down to one
+leaf.  So it found no automorphism, and at each node every block after
+the one it followed was cut by the bound rows: another block within the
+bound would have been searched, at a node no deeper than the one left.
+
+Take a child over s and the first recorded node whose placed set holds
+s.  At every node before it s is unplaced, so the child's search follows
+the same block there and cuts every other one by the same bound rows,
+whatever the subtree below returns (a skip by an orbit, which the child
+may also make, is a cut too).  So it reaches that node with the recorded
+cells, `acc`, fixed elements and trail, and runs unchanged from there;
+unwinding never passes that node, since two leaves below it share the
+path to it.  `ParentSetup.search` therefore starts at that node, with
+`nodes` counting the nodes skipped, and returns the record a search from
+the root returns.  The recorded `acc` loses the entry of the block over
+all of R; if k opens its own block, that block sits at the same index,
+and its entry keeps the bits of the fixed members of s only.  `chosen`
+starts as the recorded leaf's labelling: it places each fixed element
+where the node does, and a leaf reads no other position before the
+search sets it again.  A parent whose recorded search branches searches
+each child from the root.  Either way the child over all of R is one
+the oracle searches (every automorphism fixes R, and no rule drops it),
+and `search` returns the recorded record for it.
+
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
 part of block b's down-set: fixing x at position p sets the bit of
@@ -342,16 +383,24 @@ class ParentSetup:
 
     A child tops R with a new element k over an ideal s of R.  Its blocks
     and `above` lists are R's, extended by that one element (see above),
-    and `search(s)` runs the bounded search on them.
+    and `search(s)` runs the bounded search on them, resumed on R's path
+    when R has one (see above).  `packed` is R's key and `masks` its rows.
     """
 
-    def __init__(self, k: int, packed: int) -> None:
-        self.k = k
-        self.masks = _masks(k, packed)
+    def __init__(self, packed: int, masks: Masks) -> None:
+        k = self.k = len(masks)
+        self.masks = masks
         self.bound = _bound(k, packed)
-        self.blocks = _blocks(k, self.masks)
+        self.blocks = _blocks(k, masks)
         self.index = {below: b for b, (below, _) in enumerate(self.blocks)}  # down-set -> its block
         self.above = _above(k + 1, self.blocks)  # the new element is in no down-set
+        self.opened = [a + [len(self.blocks)] for a in self.above]  # the same, once k opens a block over x
+        # The child over all of R, searched from the root and recorded node
+        # by node; the path is kept only if it is one path.
+        path: list[tuple[int, int, list[tuple[int, int, int]], list[int]]] = []
+        self.whole = _search(k + 1, *self.setup((1 << k) - 1), self.bound, None, path)
+        self.path = path if all(a[0] < b[0] for a, b in zip(path, path[1:])) else None
+        self.trail = [(a[0], b[1] ^ a[1]) for a, b in zip(path, path[1:])]  # (depth, block placed) per node
 
     def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
         """The child's blocks and `above` lists: k joins the block with down-set s, or opens one last."""
@@ -360,14 +409,7 @@ class ParentSetup:
             blocks = self.blocks.copy()
             blocks[b] = (s, blocks[b][1] | 1 << self.k)
             return blocks, self.above
-        b = len(self.blocks)
-        above = self.above.copy()
-        rest = s
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            above[y] = above[y] + [b]
-            rest ^= low
+        above = [self.opened[x] if s >> x & 1 else xs for x, xs in enumerate(self.above)]
         return self.blocks + [(s, 1 << self.k)], above
 
     def twin_swaps(self, s: int) -> Generators:
@@ -375,10 +417,38 @@ class ParentSetup:
         n = self.k + 1
         return _swaps(n, _twin_pairs(n, self.masks + (s | 1 << self.k,)))
 
+    def start(self, s: int) -> tuple | None:
+        """Where the child over s resumes R's path, as `_search` takes it; None to search from the root.
+
+        The last item is the count of path nodes skipped.
+        """
+        if self.path is None:
+            return None
+        i = 0
+        while s & ~self.path[i][1]:
+            i += 1
+        depth, placed, cells, acc = self.path[i]
+        acc = acc.copy()
+        if s in self.index:
+            acc.pop()  # k joins a block of R; the child has no block over all of R
+        else:
+            # k opens the last block, as the child over all of R does, over s
+            # only: its row has the bits of the fixed members of s.
+            n = self.k + 1
+            rest = acc[-1]
+            while rest:
+                low = rest & -rest
+                if not s >> self.whole.labelling[n - low.bit_length()] & 1:
+                    acc[-1] ^= low
+                rest ^= low
+        return depth, placed, cells, acc, list(self.whole.labelling), self.trail[:i], i
+
     def search(self, s: int) -> SearchRecord | None:
         """`canonical_search` of the child bounded by R, with no twin swaps among its generators."""
+        if s == (1 << self.k) - 1:
+            return self.whole
         blocks, above = self.setup(s)
-        return _search(self.k + 1, blocks, above, self.bound)
+        return _search(self.k + 1, blocks, above, self.bound, self.start(s))
 
 
 def _search(
@@ -386,24 +456,31 @@ def _search(
     blocks: list[Block],
     above: list[list[int]],
     bound: list[int],
+    start: tuple | None = None,
+    path: list | None = None,
 ) -> SearchRecord | None:
     """The search body, on set-up blocks and `above` lists; `bound` pre-fills the first best rows.
 
     A row below one of the `bound` rows ends the search with None.  The
     record's generators are the automorphisms found, with no twin swaps.
     A node at depth k has placed output positions 0..k-1, as its open
-    cells and the elements it has fixed in `chosen`.
+    cells and the elements it has fixed in `chosen`.  The search starts
+    at the root, or at `start` = (depth, placed, cells, acc, chosen,
+    trail, nodes before it) from `ParentSetup.start`.  `path`, if given,
+    receives (depth, placed, cells, acc) of every node, in visiting order.
     """
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = bound + [sentinel] * (n - bounded)
-    chosen = [0] * n  # chosen[p]: the element at position p, once fixed
-    acc = [0] * len(blocks)  # acc[b]: output-row bits of the fixed part of block b's down-set
+    if start is None:
+        start = 0, 0, [], [0] * len(blocks), [0] * n, [], 0
+    # chosen[p]: the element at position p, once fixed;
+    # acc[b]: output-row bits of the fixed part of block b's down-set;
+    # trail: (depth, block) of each node on the path to the current one.
+    depth, placed, cells, acc, chosen, trail, nodes = start
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
-    trail: list[tuple[int, int]] = []  # (depth, block) of each node on the path to the current one
-    held_trail: list[tuple[int, int]] = []  # the same for the held leaf
-    nodes = 0
+    held_trail: list[tuple[int, int]] = []  # the trail of the held leaf
 
     def leaf(cells: list[tuple[int, int, int]]) -> int:
         """Take the leaf that `chosen` and the open `cells` give; return the depth to unwind to."""
@@ -437,6 +514,8 @@ def _search(
         """
         nonlocal nodes
         nodes += 1
+        if path is not None:
+            path.append((k, placed, cells, acc.copy()))
         candidates = []
         for b, (below, block) in enumerate(blocks):
             if placed & block or below & ~placed:
@@ -512,7 +591,7 @@ def _search(
         return n
 
     try:
-        if rec(0, 0, []) < 0:
+        if rec(depth, placed, cells) < 0:
             return None
     except RecursionError:
         # One frame per placed block: the order, not the input, is at fault.

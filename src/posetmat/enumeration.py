@@ -17,6 +17,17 @@ Two independent routes:
   an ideal s onto the ideal g(s), and topping R over either gives
   isomorphic children, so only the first ideal of each orbit is topped.
 
+  Each kept class also carries its rows and its connected flag, so no
+  level decodes a key or walks a matrix.  Rows: a kept child C has R as
+  its canonical parent, so rows 0..k-1 of C's canonical matrix are R's
+  (see canon), and only its last row is read from C's key.
+  Connectivity: C is connected iff every component of R meets s.  The
+  new element k is above exactly the elements of s and below nothing,
+  so deleting k leaves R's components, and k joins exactly those that
+  meet s.  If one misses s it stays a component of C apart from k; if
+  all meet s they join through k.  (An empty s leaves k alone, and R has
+  at least one component.)
+
   Some children are ruled out with no search.  Let m = |Min(R)|, and d
   the least down-set size of R's height-1 elements (the non-minimal ones
   above minimal elements only), or 0 if R is an antichain.  A child C
@@ -67,7 +78,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .canon import (
     CanonicalKey,
@@ -78,7 +89,7 @@ from .canon import (
     position_orbits,
 )
 from .compose import CompositionKind, compose
-from .core import PosetMatrix, dual, is_connected
+from .core import Masks, PosetMatrix, default_labels, dual, is_connected
 from .generators import (
     GENERATORS,
     ORDER5_DUAL_PAIRS,
@@ -210,10 +221,6 @@ def _catalog(
     return ClassCatalog(order, entries, invalid)
 
 
-def _catalog_from_packed(order: int, packed_keys: Iterable[int]) -> ClassCatalog:
-    return _catalog(order, {p: (None, CanonicalKey(order, p).matrix()) for p in packed_keys})
-
-
 def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list[int]:
     """The first ideal, in `_ideals` order, of each orbit of the ideals under `gens`."""
     ideals = _ideals(masks, k)
@@ -230,9 +237,11 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
         for t in orbit:
             for g in gens:
                 image = 0
-                for x in range(k):
-                    if t >> x & 1:
-                        image |= 1 << g[x]
+                rest = t
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << g[low.bit_length() - 1]
+                    rest ^= low
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
@@ -246,38 +255,66 @@ def _rule_bounds(masks: Sequence[int], k: int) -> tuple[int, int]:
     return minimal, min(sizes, default=0)
 
 
-def _extend_chunk(args: tuple[list[tuple[int, Generators]], int, bool]) -> list[tuple[int, Generators]]:
+def _components(masks: Sequence[int]) -> list[int]:
+    """The connected components of a poset's comparability graph, as bitmasks."""
+    components: list[int] = []
+    for row in masks:  # an element and its down-set lie in one component
+        merged = row
+        apart = []
+        for c in components:
+            if c & row:
+                merged |= c
+            else:
+                apart.append(c)
+        components = apart + [merged]
+    return components
+
+
+# A class of an oracle level: its packed key, the row masks of its canonical
+# matrix, whether it is connected, and generators of automorphisms of that
+# matrix (none on the last level).
+Representative = tuple[int, Masks, bool, Generators]
+
+
+def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Representative]:
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
-    Each parent, a packed key with generators of automorphisms of its
-    canonical matrix, is set up for the search once.  It tops its
-    representative with one ideal per orbit of those generators, drops
+    Each parent is set up for the search once.  It tops its
+    representative with one ideal per orbit of its generators, drops
     the ideals ruled out (see above) and keeps the child only if the
     child's canonical form begins with the parent's rows.  Two orbits of
     one parent can still give the same class, so each parent dedupes its
-    own children; no two parents keep the same class.  Returns the kept
-    keys, each with its search's generators moved into canonical
-    positions, or with none when `last` says no level follows.
+    own children; no two parents keep the same class.  A kept child's
+    rows are the parent's plus its canonical last row, and it is
+    connected when every component of the parent meets its ideal (see
+    above).  Its generators are its search's, moved into canonical
+    positions, or none when `last` says no level follows.
     """
     parents, k, last = args
-    kept: list[tuple[int, Generators]] = []
-    for packed, gens in parents:
+    last_row = (1 << (k + 1)) - 1
+    kept: list[Representative] = []
+    for packed, masks, _, gens in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
-        parent = ParentSetup(k, packed)
-        minimal, least = _rule_bounds(parent.masks, k)
-        children: dict[int, Generators] = {}
-        for s in _ideal_orbit_leaders(parent.masks, k, gens):
+        parent = ParentSetup(packed, masks)
+        minimal, least = _rule_bounds(masks, k)
+        components = _components(masks)
+        children: dict[int, Representative] = {}
+        for s in _ideal_orbit_leaders(masks, k, gens):
             if not s & ~minimal and s.bit_count() < least:
                 continue  # R is not the child's canonical parent
             record = parent.search(s)
             if record is not None and record.packed not in children:
                 if last:
-                    children[record.packed] = ()
+                    found: Generators = ()
                 else:
                     record = record._replace(generators=parent.twin_swaps(s) + record.generators)
-                    children[record.packed] = _in_canonical_positions(record)
-        kept += children.items()
+                    found = _in_canonical_positions(record)
+                # The key's last row holds column 0 in its top bit; a mask holds it in bit 0.
+                row = int(format(record.packed & last_row, f"0{k + 1}b")[::-1], 2)
+                connected = all(c & s for c in components)
+                children[record.packed] = (record.packed, masks + (row,), connected, found)
+        kept += children.values()
     return kept
 
 
@@ -289,14 +326,22 @@ def _in_canonical_positions(record: SearchRecord) -> Generators:
     return tuple(tuple(where[g[e]] for e in record.labelling) for g in record.generators)
 
 
-def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[int]]:
-    """Packed canonical keys of every class of orders 1..n, one list per order."""
-    levels = [[1]]  # the one-element poset; its 1x1 matrix packs to 1
-    parents: list[tuple[int, Generators]] = [(1, ())]
+def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[Representative]]:
+    """The classes of orders 1..n, one level per order, each built from the level before."""
+    levels: list[list[Representative]] = [[(1, (1,), True, ())]]  # the one-element poset; it packs to 1
     for k in range(1, n):
-        parents = [pair for chunk in chunk_map(_extend_chunk, parents, k, k + 1 == n) for pair in chunk]
-        levels.append([packed for packed, _ in parents])
+        levels.append([child for chunk in chunk_map(_extend_chunk, levels[-1], k, k + 1 == n) for child in chunk])
     return levels
+
+
+def _oracle_catalog(order: int, level: list[Representative]) -> ClassCatalog:
+    """The catalog of one oracle level, sorted by key, with the level's rows and flags."""
+    labels = default_labels(order)
+    entries = {
+        CanonicalKey(order, packed): CatalogEntry(PosetMatrix(masks, labels), connected)
+        for packed, masks, connected, _ in sorted(level)
+    }
+    return ClassCatalog(order, entries)
 
 
 def enumerate_oracle(n: int, workers: int = 1) -> ClassCatalog:
@@ -304,7 +349,7 @@ def enumerate_oracle(n: int, workers: int = 1) -> ClassCatalog:
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
     with _ChunkMap(workers) as chunk_map:
-        return _catalog_from_packed(n, _oracle_levels(n, chunk_map)[-1])
+        return _oracle_catalog(n, _oracle_levels(n, chunk_map)[-1])
 
 
 def _wrap(recipe: str) -> str:
@@ -524,7 +569,7 @@ def method_catalogs(max_n: int, method: str, workers: int) -> dict[str, dict[int
     with _ChunkMap(workers) as chunk_map:
         if method != "compose":
             levels = _oracle_levels(max_n, chunk_map)
-            routes["oracle"] = {n: _catalog_from_packed(n, keys) for n, keys in enumerate(levels, 1)}
+            routes["oracle"] = {n: _oracle_catalog(n, level) for n, level in enumerate(levels, 1)}
         if method != "oracle":
             routes["compose"] = _closure(max_n, chunk_map)
     return routes

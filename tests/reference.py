@@ -25,6 +25,11 @@ extension oracle in `posetmat.enumeration` replaced; tests compare the
 oracle's classes against it, so that walk shares no ideal generator
 with the oracle.
 
+`catalog_from_packed` builds a catalog from bare packed keys, decoding
+each key and testing its matrix with `posetmat.is_connected`, where the
+oracle carries every class's rows and connected flag from its parent;
+tests build the labelled walk's catalog with it.
+
 `automorphism_orbits` finds the orbits of the whole automorphism group
 by asking, for each pair of positions, whether some automorphism maps
 one to the other, with a backtracking search that shares nothing with
@@ -298,6 +303,15 @@ def iter_matrices(n: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"order must be 1..{MAX_ORACLE_ORDER}, got {n}")
     yield from _complete((1,), n)
+
+
+def catalog_from_packed(order: int, packed_keys) -> posetmat.ClassCatalog:
+    """The classes of one order with these packed keys, sorted by key, each decoded and tested."""
+    entries = {}
+    for packed in sorted(set(packed_keys)):
+        key = posetmat.CanonicalKey(order, packed)
+        entries[key] = posetmat.CatalogEntry(key.matrix(), posetmat.is_connected(key.matrix()))
+    return posetmat.ClassCatalog(order, entries)
 
 
 def square_closure(max_n: int) -> dict[int, dict[posetmat.CanonicalKey, posetmat.PosetMatrix]]:

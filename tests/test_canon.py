@@ -534,7 +534,7 @@ LIBRARY_CALLS = {
     "bounded-accept": lambda: canonical_search(3, (1, 2, 4), I2_KEY),
     "bounded-reject": lambda: canonical_search(3, (1, 2, 4), C2_KEY),
     "refused-chain": refuse_a_long_chain,
-    "parent-setup": lambda: [ParentSetup(2, C2_KEY).search(s) for s in (0, 1, 3)],  # rejects, accepts, accepts
+    "parent-setup": lambda: [ParentSetup(C2_KEY, (1, 3)).search(s) for s in (0, 1, 3)],  # rejects, accepts, accepts
     "canonical_form": lambda: canonical_form(parse_matrix(V_TEXT)),
     "are_isomorphic": lambda: are_isomorphic(parse_matrix(V_TEXT), dual(parse_matrix(V_TEXT))),
     "position_orbits": lambda: position_orbits(parse_matrix(V_TEXT)),

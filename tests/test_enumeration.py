@@ -34,14 +34,20 @@ from posetmat.compose import CompositionKind, compose
 from posetmat.enumeration import (
     MAX_CLOSURE_ORDER,
     MAX_ORACLE_ORDER,
-    _catalog_from_packed,
     _ideals,
     base_catalog,
     method_catalogs,
 )
 
 from conftest import iter_all_posets
-from reference import automorphism_orbits, has_induced_n, ideals, iter_matrices, square_closure
+from reference import (
+    automorphism_orbits,
+    catalog_from_packed,
+    has_induced_n,
+    ideals,
+    iter_matrices,
+    square_closure,
+)
 
 # Naturally-labeled matrix counts; the class counts live in KNOWN_COUNTS.
 LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -108,8 +114,27 @@ def assert_oracle_levels_hold_each_class_once(n):
         with enumeration._ChunkMap(workers) as chunk_map:
             levels[workers] = enumeration._oracle_levels(n, chunk_map)
     for k, level in enumerate(levels[1], 1):
-        assert len(level) == len(set(level)) == KNOWN_COUNTS[k][0]
+        assert len(level) == len({packed for packed, _, _, _ in level}) == KNOWN_COUNTS[k][0]
     assert [sorted(level) for level in levels[1]] == [sorted(level) for level in levels[2]]
+
+
+def assert_oracle_levels_carry_each_class_rows_and_flag(n):
+    with enumeration._ChunkMap(1) as chunk_map:
+        levels = enumeration._oracle_levels(n, chunk_map)
+    for k, level in enumerate(levels, 1):
+        for packed, masks, connected, _ in level:
+            matrix = CanonicalKey(k, packed).matrix()
+            assert masks == matrix.masks, (k, packed)
+            assert connected == is_connected(matrix), (k, packed)
+
+
+def test_oracle_levels_carry_each_class_rows_and_flag():
+    assert_oracle_levels_carry_each_class_rows_and_flag(7)
+
+
+@pytest.mark.slow
+def test_oracle_levels_carry_each_class_rows_and_flag_order8():
+    assert_oracle_levels_carry_each_class_rows_and_flag(8)
 
 
 def test_oracle_levels_hold_each_class_once():
@@ -125,9 +150,11 @@ def test_oracle_levels_hold_each_class_once_order8():
 def test_oracle_order9_last_level():
     with enumeration._ChunkMap(1) as chunk_map:
         last = enumeration._oracle_levels(9, chunk_map)[-1]
-    assert len(last) == len(set(last)) == KNOWN_COUNTS[9][0] == 183_231
-    connected = sum(is_connected(CanonicalKey(9, packed).matrix()) for packed in last)
-    assert connected == KNOWN_COUNTS[9][1] == 163_341
+    keys = [packed for packed, _, _, _ in last]
+    assert len(keys) == len(set(keys)) == KNOWN_COUNTS[9][0] == 183_231
+    assert sum(connected for _, _, connected, _ in last) == KNOWN_COUNTS[9][1] == 163_341
+    # The carried flags are those of the decoded matrices.
+    assert all(connected == is_connected(CanonicalKey(9, packed).matrix()) for packed, _, connected, _ in last)
 
 
 def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
@@ -160,14 +187,14 @@ def oracle_candidates(n):
     The candidates are those the oracle tops: each level's parents carry
     the generators that `_extend_chunk` found for them.
     """
-    parents = [(1, ())]
+    parents = [(1, (1,), True, ())]
     for k in range(1, n):
         if k > 1:
             parents = enumeration._extend_chunk((parents, k - 1, False))
-        for packed, gens in parents:
-            parent = ParentSetup(k, packed)
-            minimal, least = enumeration._rule_bounds(parent.masks, k)
-            for s in enumeration._ideal_orbit_leaders(parent.masks, k, gens):
+        for packed, masks, _, gens in parents:
+            parent = ParentSetup(packed, masks)
+            minimal, least = enumeration._rule_bounds(masks, k)
+            for s in enumeration._ideal_orbit_leaders(masks, k, gens):
                 yield packed, parent, s, not s & ~minimal and s.bit_count() < least
 
 
@@ -198,6 +225,65 @@ def test_prepared_search_is_the_fresh_search():
 def test_prepared_search_is_the_fresh_search_order8():
     # Order 8 accepts one class twice (see the pseudo-similar test below).
     assert assert_prepared_search_is_the_fresh_search(8) == sum(KNOWN_COUNTS[n][0] for n in range(2, 9)) + 1
+
+
+def assert_child_search_is_the_fresh_search(packed, parent, s):
+    """`parent.search(s)` is the bounded `canonical_search` of the child, less its twin swaps."""
+    record = parent.search(s)
+    fresh = canonical_search(parent.k + 1, parent.masks + (s | 1 << parent.k,), packed)
+    if fresh is None:
+        assert record is None, (parent.masks, s)
+    else:
+        swaps = len(parent.twin_swaps(s))
+        assert record == fresh._replace(generators=fresh.generators[swaps:]), (parent.masks, s)
+
+
+def assert_resumed_search_is_the_search_from_the_root(n):
+    """Compare the child search over every ideal of every representative of orders 1..n with a fresh one."""
+    with enumeration._ChunkMap(1) as chunk_map:
+        levels = enumeration._oracle_levels(n, chunk_map)
+    for k, level in enumerate(levels, 1):
+        for packed, masks, _, _ in level:
+            parent = ParentSetup(packed, masks)
+            for s in ideals(masks, k):
+                assert_child_search_is_the_fresh_search(packed, parent, s)
+
+
+def test_resumed_search_is_the_search_from_the_root():
+    assert_resumed_search_is_the_search_from_the_root(6)
+
+
+@pytest.mark.slow
+def test_resumed_search_is_the_search_from_the_root_order7():
+    assert_resumed_search_is_the_search_from_the_root(7)
+
+
+def test_most_parents_resume_their_path():
+    single = skipped = 0
+    parents = set()
+    for packed, parent, s, ruled_out in oracle_candidates(7):
+        if packed not in parents:
+            parents.add(packed)
+            single += parent.path is not None
+        if parent.path is not None and not ruled_out:
+            skipped += parent.start(s)[-1]
+    # Of the 405 parents of orders 1 to 6, 329 search their child over all
+    # of R on one path; their searched children skip 7,496 nodes of it.
+    assert (len(parents), single, skipped) == (405, 329, 7496)
+
+
+def test_a_parent_whose_path_branches_searches_from_the_root():
+    # 0 < 4 and 1 < 2, 3, with twins 2 and 3: over the minimal cell the
+    # blocks {4} and {2, 3} give equal rows, so the child over all of R branches.
+    masks = (1, 2, 6, 10, 17)
+    packed = canonical_search(5, masks).packed
+    assert CanonicalKey(5, packed).matrix().masks == masks
+    assert canon._twin_pairs(5, masks) == [(2, 3)]
+    parent = ParentSetup(packed, masks)
+    assert parent.path is None
+    for s in ideals(masks, 5):
+        assert parent.start(s) is None
+        assert_child_search_is_the_fresh_search(packed, parent, s)
 
 
 def rule_counts(n):
@@ -259,7 +345,8 @@ def test_orbit_skips_change_no_oracle_level(monkeypatch):
         pruned = enumeration._oracle_levels(7, chunk_map)
         monkeypatch.setattr(enumeration, "_in_canonical_positions", lambda record: ())
         every_ideal = enumeration._oracle_levels(7, chunk_map)
-    assert pruned == every_ideal
+    # Generators aside (the patched levels carry none), every class is the same.
+    assert [[c[:3] for c in level] for level in pruned] == [[c[:3] for c in level] for level in every_ideal]
 
 
 def test_orbit_skips_change_no_closure_entry(monkeypatch):
@@ -327,7 +414,7 @@ def test_oracle_emits_the_labelled_walk_bytes(tmp_path, workers):
         return {p.name: p.read_bytes() for p in directory.iterdir()}
 
     for n in range(1, 7):
-        walk = _catalog_from_packed(n, (canonical_search(n, rows).packed for rows in iter_matrices(n)))
+        walk = catalog_from_packed(n, (canonical_search(n, rows).packed for rows in iter_matrices(n)))
         assert snapshot(enumerate_oracle(n, workers), tmp_path / f"oracle{n}") == snapshot(
             walk, tmp_path / f"walk{n}"
         )
