@@ -104,9 +104,18 @@ sound: the search still reaches a leaf with the least rows unless it
 stops first.  On the way to that leaf, at the first row below R's, if
 any, it sees a block row below the best one at a position under n-1,
 and stops with no result.  Every class is therefore accepted from
-exactly one parent, its canonical parent R* topped with the strict
-down-set of the last row of its canonical matrix; two ideals of R* can
-still give the same class.
+exactly one parent, its canonical parent R*.
+
+Pseudo-similar points.  Ideals s and t of R* in different orbits of
+Aut(R*) can still give one class.  Take an isomorphism f from the child
+C over s onto the child over t, and x = f^-1(k).  C - k and C - x are
+both isomorphic to R*, yet no automorphism of C maps k to x, or f after
+it would restrict to an automorphism of R* taking s onto t: k and x are
+pseudo-similar points (Harary & Palmer, 1966).  McKay's second test (see
+enumeration) asks of each child whether its new point lies in the orbit
+of the point its canonical labelling places last.  Through f the two
+children ask it of k and of x in C, which lie in different orbits, so
+at most one of them is kept.
 
 The search record.  One search returns the canonical key, the held leaf
 and the automorphisms it met, so no caller searches twice:
@@ -130,14 +139,19 @@ and the automorphisms it met, so no caller searches twice:
   those generate every reordering of a twin class.
 * `nodes` is the number of search frames, one per node.
 
-The generators span a subgroup of Aut(P).  On every class of orders 1
-to 6 its position orbits are those of Aut(P) (a test compares them with
-brute force), but no caller relies on that.  A caller skips a choice only when some
-automorphism maps it onto a choice it keeps.  The two choices then build
-isomorphic matrices, so the skipped one adds no class, and that needs
-only that each generator is an automorphism, whatever group they span.
-With a smaller group the caller keeps more choices than it needs, never
-fewer.  The bounded mode returns a record only when it accepts.
+The oracle's generators span Aut(P) on every class to order 8.
+Evidence, by orbit counts: with G(P) the group they span and e(P) the
+number of linear extensions of P, the sums over the classes of order n
+of n!/|G(P)| and of e(P)/|G(P)| equal the labelled posets (OEIS A001035)
+and the lower-triangular poset matrices (A006455) for n = 1 to 8.
+Aut(P) acts freely on labellings and on linear extensions, so those are
+the sums under Aut(P), and each term under its subgroup G(P) is at least
+its term under Aut(P): so G(P) = Aut(P) for every class.  (On orders 1
+to 6 a test also compares `position_orbits` with brute force.)  The
+orbit skips need less: a skipped choice is mapped by some automorphism
+onto a kept one, so it adds no class whatever group the generators
+span.  The oracle's second test needs the whole group.  The bounded
+mode returns a record only when it accepts.
 
 Set-up.  Before the first node the search needs the blocks and the
 `above` lists (the blocks whose down-set holds each element), and no
@@ -196,8 +210,8 @@ starts as the recorded leaf's labelling: it places each fixed element
 where the node does, and a leaf reads no other position before the
 search sets it again.  A parent whose recorded search branches searches
 each child from the root.  Either way the child over all of R is one
-the oracle searches (every automorphism fixes R, and no rule drops it),
-and `search` returns the recorded record for it.
+the oracle searches (every automorphism fixes R), and `search` returns
+the recorded record for it.
 
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed

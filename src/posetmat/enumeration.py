@@ -8,14 +8,28 @@ Two independent routes:
   representative R, and the element's strict down-set is an ideal (a
   down-closed subset) of R.  So appending, to each representative of
   order k, one new top row per ideal yields a member of every class of
-  order k+1, and every such child is a valid matrix.  A child is kept
-  only when its parent is its canonical parent, the class of the top-left
-  block of its canonical matrix (see canon), so each class comes from one
-  parent and only that parent's children need deduplicating.  Each kept
-  class carries the automorphisms its search found, moved into canonical
-  positions through the search's labelling.  An automorphism g of R maps
-  an ideal s onto the ideal g(s), and topping R over either gives
-  isomorphic children, so only the first ideal of each orbit is topped.
+  order k+1, and every such child is a valid matrix.  An automorphism g
+  of R maps an ideal s onto the ideal g(s), and topping R over either
+  gives isomorphic children, so only the first ideal of each orbit of
+  R's generators is topped.  The child C over s is kept by McKay's two
+  tests ("Isomorph-free exhaustive generation", J. Algorithms 1998): R
+  is C's canonical parent, the class of the top-left block of C's
+  canonical matrix (see canon), and k lies in the Aut(C)-orbit of the
+  element x that C's canonical labelling places last.  Canonical
+  labellings of isomorphic posets differ by an isomorphism, so that
+  orbit is a class invariant.  The second test passes at once when x is
+  k, and otherwise closes x under C's generators.
+
+  Each class P is kept once.  P - x, x placed last, is isomorphic to its
+  canonical parent R by a map taking x's down-set onto an ideal of R,
+  whose orbit leader gives a child isomorphic to P by a map taking k to
+  x: both tests pass.  Two kept children of R that are isomorphic are so
+  by a map taking k to k, by the second test, and it restricts to an
+  automorphism of R taking one ideal onto the other: they are one
+  leader.  This reads the generators as spanning Aut(C) and Aut(R); they
+  do to order 8, which the tests check by orbit counts (see canon).
+  Each kept class carries the automorphisms its search found, moved into
+  canonical positions through the search's labelling.
 
   Each kept class also carries its rows and its connected flag, so no
   level decodes a key or walks a matrix.  Rows: a kept child C has R as
@@ -27,26 +41,6 @@ Two independent routes:
   meet s.  If one misses s it stays a component of C apart from k; if
   all meet s they join through k.  (An empty s leaves k alone, and R has
   at least one component.)
-
-  Some children are ruled out with no search.  Let m = |Min(R)|, and d
-  the least down-set size of R's height-1 elements (the non-minimal ones
-  above minimal elements only), or 0 if R is an antichain.  A child C
-  that tops R with k over an ideal s inside Min(R), with |s| < d, does
-  not have R as its canonical parent.  Proof: d > 0, so R has a
-  non-minimal element, and so a non-minimal maximal element y.  It lies
-  outside s, so it is maximal in C, and deleting it from C removes no
-  minimal element and makes none.  The first node of a canonical search
-  has one block, the minimal elements, so a least string starts with one
-  diagonal-only row per minimal element, and the next row holds the
-  least down-set of a height-1 element, packed at the end of that cell
-  (see canon).  So R's rows 0..m-1 are diagonal-only and its row m has d
-  bits below the diagonal.  Rule 1, s empty: k is minimal in C - y,
-  which so has m + 1 minimal elements and a diagonal-only row m.  Rule 2,
-  s not empty: C - y has R's m minimal elements and k of height 1, so its
-  row m has at most |s| < d bits.  Either way C - y has a least string
-  below R's at row m and equal before it.  The top-left block of C's
-  canonical matrix is no greater than the least string of any C - x, x
-  maximal (see canon), so it is below R, and the search would reject C.
 
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
@@ -64,7 +58,8 @@ Two independent routes:
   representatives and `invalid_outputs` are those of composing every
   position.
 
-Both skips are sound under any group of automorphisms (see canon).
+Both orbit skips keep every class under any group of automorphisms (see
+canon); the oracle keeps each exactly once under the whole group (see above).
 
 Both routes split their work (a level's parent representatives, or the
 pairs of operand classes) into independent chunks whose per-chunk results
@@ -85,6 +80,7 @@ from .canon import (
     Generators,
     ParentSetup,
     SearchRecord,
+    _orbit,
     canonical_form,
     position_orbits,
 )
@@ -248,13 +244,6 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
     return leaders
 
 
-def _rule_bounds(masks: Sequence[int], k: int) -> tuple[int, int]:
-    """Min(R) and d of a representative R (see above): a child over s inside Min(R) with |s| < d is ruled out."""
-    minimal = sum(1 << y for y in range(k) if masks[y] == 1 << y)
-    sizes = [(row ^ 1 << y).bit_count() for y, row in enumerate(masks) if row != 1 << y and row & ~minimal == 1 << y]
-    return minimal, min(sizes, default=0)
-
-
 def _components(masks: Sequence[int]) -> list[int]:
     """The connected components of a poset's comparability graph, as bitmasks."""
     components: list[int] = []
@@ -280,15 +269,14 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
     Each parent is set up for the search once.  It tops its
-    representative with one ideal per orbit of its generators, drops
-    the ideals ruled out (see above) and keeps the child only if the
-    child's canonical form begins with the parent's rows.  Two orbits of
-    one parent can still give the same class, so each parent dedupes its
-    own children; no two parents keep the same class.  A kept child's
-    rows are the parent's plus its canonical last row, and it is
-    connected when every component of the parent meets its ideal (see
-    above).  Its generators are its search's, moved into canonical
-    positions, or none when `last` says no level follows.
+    representative with one ideal per orbit of its generators and keeps
+    the child that passes both tests (see above): the bounded search
+    accepts it, and k lies in the orbit of the child's canonical last
+    element under the child's generators.  A kept child's rows are the
+    parent's plus its canonical last row, and it is connected when every
+    component of the parent meets its ideal (see above).  Its generators
+    are its search's, moved into canonical positions, or none when
+    `last` says no level follows.
     """
     parents, k, last = args
     last_row = (1 << (k + 1)) - 1
@@ -297,24 +285,20 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         parent = ParentSetup(packed, masks)
-        minimal, least = _rule_bounds(masks, k)
         components = _components(masks)
-        children: dict[int, Representative] = {}
         for s in _ideal_orbit_leaders(masks, k, gens):
-            if not s & ~minimal and s.bit_count() < least:
-                continue  # R is not the child's canonical parent
             record = parent.search(s)
-            if record is not None and record.packed not in children:
-                if last:
-                    found: Generators = ()
-                else:
-                    record = record._replace(generators=parent.twin_swaps(s) + record.generators)
-                    found = _in_canonical_positions(record)
-                # The key's last row holds column 0 in its top bit; a mask holds it in bit 0.
-                row = int(format(record.packed & last_row, f"0{k + 1}b")[::-1], 2)
-                connected = all(c & s for c in components)
-                children[record.packed] = (record.packed, masks + (row,), connected, found)
-        kept += children.values()
+            if record is None:
+                continue  # R is not the child's canonical parent
+            x = record.labelling[-1]
+            if x != k or not last:
+                record = record._replace(generators=parent.twin_swaps(s) + record.generators)
+            if x != k and not _orbit(1 << x, record.generators) >> k & 1:
+                continue  # no automorphism of the child maps its canonical last element to k
+            # The key's last row holds column 0 in its top bit; a mask holds it in bit 0.
+            row = int(format(record.packed & last_row, f"0{k + 1}b")[::-1], 2)
+            connected = all(c & s for c in components)
+            kept.append((record.packed, masks + (row,), connected, () if last else _in_canonical_positions(record)))
     return kept
 
 

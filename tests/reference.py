@@ -36,6 +36,11 @@ one to the other, with a backtracking search that shares nothing with
 the canonical search; tests compare the orbits of the generators that
 search records against it.
 
+`group_order` closes a list of generators into the group they span, by
+breadth-first search over products, and `linear_extensions` counts a
+poset's linear extensions by a walk over its ideals.  Tests gate the
+oracle's generators with them by orbit counts (see `posetmat.canon`).
+
 `square_closure` closes the generators C2 and I2 under square
 composition alone, through `posetmat.compose`.  `sq@i` substitutes B for
 element i of A, so the closure is the series-parallel posets, which are
@@ -312,6 +317,33 @@ def catalog_from_packed(order: int, packed_keys) -> posetmat.ClassCatalog:
         key = posetmat.CanonicalKey(order, packed)
         entries[key] = posetmat.CatalogEntry(key.matrix(), posetmat.is_connected(key.matrix()))
     return posetmat.ClassCatalog(order, entries)
+
+
+def group_order(n: int, gens) -> int:
+    """The order of the group of permutations of range(n) that `gens` span."""
+    identity = tuple(range(n))
+    seen = {identity}
+    todo = [identity]
+    for g in todo:
+        for h in gens:
+            gh = tuple(h[x] for x in g)
+            if gh not in seen:
+                seen.add(gh)
+                todo.append(gh)
+    return len(seen)
+
+
+def linear_extensions(masks) -> int:
+    """The number of linear extensions of the poset with these row masks (diagonal bits included)."""
+    ways = {0: 1}  # ideal -> the orders in which its elements can be placed
+    for _ in masks:
+        grown: dict[int, int] = {}
+        for ideal, count in ways.items():
+            for z, row in enumerate(masks):
+                if not ideal >> z & 1 and row & ~(1 << z) & ~ideal == 0:
+                    grown[ideal | 1 << z] = grown.get(ideal | 1 << z, 0) + count
+        ways = grown
+    return ways[(1 << len(masks)) - 1]
 
 
 def square_closure(max_n: int) -> dict[int, dict[posetmat.CanonicalKey, posetmat.PosetMatrix]]:

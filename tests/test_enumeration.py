@@ -1,8 +1,10 @@
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,9 +45,11 @@ from conftest import iter_all_posets
 from reference import (
     automorphism_orbits,
     catalog_from_packed,
+    group_order,
     has_induced_n,
     ideals,
     iter_matrices,
+    linear_extensions,
     square_closure,
 )
 
@@ -176,32 +180,35 @@ def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
     monkeypatch.setattr(ParentSetup, "search", counting_search)
     enumerate_oracle(7)
     # One ideal per Aut-orbit of the ideals of each parent, against 2, 7,
-    # 27, 126, 711 and 5,439 ideals; the ruled-out ones are not searched.
-    assert topped == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
-    assert searches == {2: 2, 3: 5, 4: 17, 5: 80, 6: 486, 7: 3706}
+    # 27, 126, 711 and 5,439 ideals, and every topped ideal is searched.
+    assert topped == searches == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+
+
+def oracle_levels_with_generators(n):
+    """The oracle's levels of orders 1..n, each class with the generators `_extend_chunk` finds for it."""
+    levels = [[(1, (1,), True, ())]]
+    for k in range(1, n):
+        levels.append(enumeration._extend_chunk((levels[-1], k, False)))
+    return levels
 
 
 def oracle_candidates(n):
-    """(parent key, parent set-up, ideal, whether a rule rules it out) for each candidate of orders 2..n.
+    """(parent key, parent set-up, ideal) for each candidate of orders 2..n.
 
     The candidates are those the oracle tops: each level's parents carry
     the generators that `_extend_chunk` found for them.
     """
-    parents = [(1, (1,), True, ())]
-    for k in range(1, n):
-        if k > 1:
-            parents = enumeration._extend_chunk((parents, k - 1, False))
+    for k, parents in enumerate(oracle_levels_with_generators(n - 1), 1):
         for packed, masks, _, gens in parents:
             parent = ParentSetup(packed, masks)
-            minimal, least = enumeration._rule_bounds(masks, k)
             for s in enumeration._ideal_orbit_leaders(masks, k, gens):
-                yield packed, parent, s, not s & ~minimal and s.bit_count() < least
+                yield packed, parent, s
 
 
 def assert_prepared_search_is_the_fresh_search(n):
     """Compare the set-up and record of every candidate with a fresh search; return the accepted count."""
     accepted = 0
-    for packed, parent, s, _ in oracle_candidates(n):
+    for packed, parent, s in oracle_candidates(n):
         k = parent.k
         child = parent.masks + (s | 1 << k,)
         assert parent.setup(s) == canon._setup(k + 1, child), (k, s)
@@ -261,15 +268,15 @@ def test_resumed_search_is_the_search_from_the_root_order7():
 def test_most_parents_resume_their_path():
     single = skipped = 0
     parents = set()
-    for packed, parent, s, ruled_out in oracle_candidates(7):
+    for packed, parent, s in oracle_candidates(7):
         if packed not in parents:
             parents.add(packed)
             single += parent.path is not None
-        if parent.path is not None and not ruled_out:
+        if parent.path is not None:
             skipped += parent.start(s)[-1]
     # Of the 405 parents of orders 1 to 6, 329 search their child over all
-    # of R on one path; their searched children skip 7,496 nodes of it.
-    assert (len(parents), single, skipped) == (405, 329, 7496)
+    # of R on one path; their children skip 7,644 nodes of it.
+    assert (len(parents), single, skipped) == (405, 329, 7644)
 
 
 def test_a_parent_whose_path_branches_searches_from_the_root():
@@ -286,50 +293,80 @@ def test_a_parent_whose_path_branches_searches_from_the_root():
         assert_child_search_is_the_fresh_search(packed, parent, s)
 
 
-def rule_counts(n):
-    """Candidates ruled out per level, with an empty ideal and with a non-empty one."""
-    empty, nonempty = {}, {}
-    for packed, parent, s, ruled_out in oracle_candidates(n):
-        if ruled_out:
-            child = parent.masks + (s | 1 << parent.k,)
-            assert canonical_search(parent.k + 1, child, packed) is None, (parent.masks, s)
-            counts = nonempty if s else empty
-            counts[parent.k + 1] = counts.get(parent.k + 1, 0) + 1
-    return empty, nonempty
+# Labelled posets (OEIS A001035) and lower-triangular poset matrices
+# (naturally labelled posets, OEIS A006455) by order.
+LABELLED_POSETS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4_231, 6: 130_023, 7: 6_129_859, 8: 431_723_379}
+LOWER_TRIANGULAR = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357, 6: 4_824, 7: 96_428, 8: 2_800_472}
 
 
-# The empty ideal is ruled out under every parent but the antichain.
-EMPTY_RULED_OUT = {3: 1, 4: 4, 5: 15, 6: 62, 7: 317, 8: 2044}
-NONEMPTY_RULED_OUT = {4: 1, 5: 6, 6: 28, 7: 139, 8: 831}
+def assert_generators_span_every_automorphism_group(n):
+    """Orbit counts with the group G(P) the oracle's generators span give both sequences.
+
+    The class of P holds n!/|Aut(P)| labelled posets and e(P)/|Aut(P)|
+    lower-triangular matrices.  Each term with G(P), a subgroup of Aut(P),
+    is at least its term with Aut(P), so equal sums mean G(P) = Aut(P)
+    for every class (see canon).
+    """
+    for k, level in enumerate(oracle_levels_with_generators(n), 1):
+        orders = [group_order(k, gens) for _, _, _, gens in level]
+        assert sum(Fraction(math.factorial(k), g) for g in orders) == LABELLED_POSETS[k], k
+        extensions = [linear_extensions(masks) for _, masks, _, _ in level]
+        assert sum(Fraction(e, g) for e, g in zip(extensions, orders)) == LOWER_TRIANGULAR[k], k
 
 
-def test_ruled_out_children_are_rejected_by_the_search():
-    empty, nonempty = rule_counts(7)
-    assert empty == {n: c for n, c in EMPTY_RULED_OUT.items() if n <= 7}
-    assert nonempty == {n: c for n, c in NONEMPTY_RULED_OUT.items() if n <= 7}
-
-
-@pytest.mark.slow
-def test_ruled_out_children_are_rejected_by_the_search_order8():
-    assert rule_counts(8) == (EMPTY_RULED_OUT, NONEMPTY_RULED_OUT)
+def test_generators_span_every_automorphism_group():
+    assert_generators_span_every_automorphism_group(7)
 
 
 @pytest.mark.slow
-def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points():
-    # 17,000 children are accepted for the 16,999 classes of order 8.
+def test_generators_span_every_automorphism_group_order8():
+    assert_generators_span_every_automorphism_group(8)
+
+
+# A rigid order-7 representative whose children over two ideals of
+# different orbits are one class: the first places 7 last, the second 5.
+PSEUDO_SIMILAR_PARENT = (1, 2, 4, 12, 18, 54, 65)
+KEPT_IDEAL, REJECTED_IDEAL = 0b0001101, 0b1000011
+
+
+def assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch):
+    masks = PSEUDO_SIMILAR_PARENT
+    packed = canonical_search(7, masks).packed
+    parent = (packed, masks, is_connected(PosetMatrix(masks, default_labels(7))), ())
+    records = [ParentSetup(packed, masks).search(s) for s in (KEPT_IDEAL, REJECTED_IDEAL)]
+    assert records[0].packed == records[1].packed
+    assert [r.labelling[-1] for r in records] == [7, 5]
+    # The parent topped over these ideals alone, in either order: the class is kept once, from KEPT_IDEAL.
+    for topped in ([KEPT_IDEAL, REJECTED_IDEAL], [REJECTED_IDEAL, KEPT_IDEAL], [KEPT_IDEAL], [REJECTED_IDEAL]):
+        monkeypatch.setattr(enumeration, "_ideal_orbit_leaders", lambda masks, k, gens: topped)
+        for last in (True, False):
+            kept = enumeration._extend_chunk(([parent], 7, last))
+            expected = [records[0].packed] if KEPT_IDEAL in topped else []
+            assert [child[0] for child in kept] == expected, (topped, last)
+
+
+def test_the_second_test_keeps_one_pseudo_similar_child(monkeypatch):
+    masks = PSEUDO_SIMILAR_PARENT
+    assert CanonicalKey(7, canonical_search(7, masks).packed).matrix().masks == masks
+    # The parent is rigid, so it has no generators to miss: the two ideals
+    # are in different orbits of Aut(parent).
+    assert automorphism_orbits(masks) == [1 << x for x in range(7)]
+    assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch)
+
+
+@pytest.mark.slow
+def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points(monkeypatch):
+    # The bounded search accepts 17,000 children for the 16,999 classes of order 8.
     first = {}  # (parent key, child key) -> the first ideal accepted for it
     duplicates = []
-    for packed, parent, s, _ in oracle_candidates(8):
+    for packed, parent, s in oracle_candidates(8):
         record = parent.search(s) if parent.k == 7 else None
         if record is not None:
             if (packed, record.packed) in first:
                 duplicates.append((parent.masks, first[packed, record.packed], s))
             first.setdefault((packed, record.packed), s)
-    assert duplicates == [((1, 2, 4, 12, 18, 54, 65), 0b0001101, 0b1000011)]
+    assert duplicates == [(PSEUDO_SIMILAR_PARENT, KEPT_IDEAL, REJECTED_IDEAL)]
     masks, s, t = duplicates[0]
-    # The parent is rigid, so no generators are missing: the two ideals are
-    # in different orbits of Aut(parent).
-    assert automorphism_orbits(masks) == [1 << x for x in range(7)]
     one, other = (canonical_search(8, masks + (u | 1 << 7,)) for u in (s, t))
     # An isomorphism from one child onto the other maps its point 5 onto
     # the other's new point 7, so deleting 5 or 7 from the first leaves
@@ -338,6 +375,12 @@ def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points():
     assert one.packed == other.packed
     assert one.labelling[other.labelling.index(7)] == 5
     assert automorphism_orbits(masks + (s | 1 << 7,)) == [1 << x for x in range(8)]
+    # Topped over all its ideals, the parent keeps the class once; topped
+    # over the two alone, it keeps the first child and rejects the second.
+    parent = next(c for c in oracle_levels_with_generators(7)[-1] if c[1] == masks)
+    kept = [c[0] for c in enumeration._extend_chunk(([parent], 7, True))]
+    assert len(kept) == len(set(kept)) and one.packed in kept
+    assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch)
 
 
 def test_orbit_skips_change_no_oracle_level(monkeypatch):
@@ -345,8 +388,13 @@ def test_orbit_skips_change_no_oracle_level(monkeypatch):
         pruned = enumeration._oracle_levels(7, chunk_map)
         monkeypatch.setattr(enumeration, "_in_canonical_positions", lambda record: ())
         every_ideal = enumeration._oracle_levels(7, chunk_map)
-    # Generators aside (the patched levels carry none), every class is the same.
-    assert [[c[:3] for c in level] for level in pruned] == [[c[:3] for c in level] for level in every_ideal]
+    # With no generators every ideal of a parent is topped, and the ideals
+    # of one Aut-orbit each keep a child; the classes, rows and flags are
+    # those of the pruned levels, which hold each class once.
+    for k, (level, unpruned) in enumerate(zip(pruned, every_ideal), 1):
+        assert {c[:3] for c in level} == {c[:3] for c in unpruned}, k
+        assert len(level) == len({c[0] for c in level}) == KNOWN_COUNTS[k][0], k
+    assert len(every_ideal[-1]) > len(pruned[-1])
 
 
 def test_orbit_skips_change_no_closure_entry(monkeypatch):

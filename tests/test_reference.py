@@ -1,4 +1,5 @@
 """The row-mask core against the cell-loop reference in `reference.py`."""
+import itertools
 import random
 
 from posetmat import compose, validate_axioms
@@ -50,3 +51,24 @@ def test_witnesses_match_reference_on_random_candidates():
         seen.update(axiom for axiom, _ in report.violations)
     assert invalid > trials // 2
     assert seen == {"reflexive", "antisymmetric", "transitive"}
+
+
+def test_group_order_and_linear_extensions_match_brute_force():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        cycle = tuple(range(1, n)) + (0,)
+        swap = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
+        assert reference.group_order(n, [cycle, swap]) == len(perms)
+        assert reference.group_order(n, []) == 1
+        for m in iter_all_posets(n):
+            masks = m.masks
+            autos = [
+                g for g in perms
+                if all(masks[y] >> z & 1 == masks[g[y]] >> g[z] & 1 for y in range(n) for z in range(n))
+            ]
+            # g[i] is the element placed at position i: every strict down-set comes first.
+            extensions = sum(
+                all(masks[g[i]] & ~(1 << g[i]) & ~sum(1 << x for x in g[:i]) == 0 for i in range(n)) for g in perms
+            )
+            assert reference.group_order(n, autos) == len(autos), masks
+            assert reference.linear_extensions(masks) == extensions, masks
