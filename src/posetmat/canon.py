@@ -133,10 +133,12 @@ and the automorphisms it met, so no caller searches twice:
   put t in e's strict down-set, which is t's own), and every other
   element is below, above or apart from t exactly as from e, so
   exchanging them keeps every relation.  Twins share a cell to the
-  leaf, which orders them by index, so the search never meets two
-  leaves that differ by a twin swap; instead `canonical_search` opens
-  the record with the swap of each twin with the previous one, and
-  those generate every reordering of a twin class.
+  leaf, which orders them by index: they have one down-set, so one
+  block, and no down-set splits them.  So the search never meets two
+  leaves that differ by a twin swap.  Instead the open cells of the
+  held leaf, which are exactly its twin classes (see Leaves), open the
+  record's generators: in each cell, the swap of each element with the
+  previous one, and those generate every reordering of a twin class.
 * `nodes` is the number of search frames, one per node.
 
 The oracle's generators span Aut(P) on every class to order 8.
@@ -154,23 +156,16 @@ span.  The oracle's second test needs the whole group.  The bounded
 mode returns a record only when it accepts.
 
 Set-up.  Before the first node the search needs the blocks and the
-`above` lists (the blocks whose down-set holds each element), and no
-up-sets.  `canonical_search` builds them from the row masks, runs the one
-search body, and opens the record's generators with the twin swaps,
-which it builds from the up-sets only when the search returns a record.
-The twin swaps are built only where generators are read: by
-`canonical_search`, by `position_orbits` and by `ParentSetup.twin_swaps`.
-The cached key of `canonical_form`, `are_isomorphic` and
-`CanonicalKey.parse` comes from the search body alone.  The oracle
-searches many children of one representative R of order k, each R topped
-with a new element k over an ideal s, so `ParentSetup` builds R's tables
-once and extends them per child.  No down-set of R changes, and k's is s:
-k joins the block with down-set s, or opens a block after all of R's,
-since its least member is k, and that block joins `above[y]` for each y
-in s.  These are the tables of a fresh set-up of the child, so the search
-returns the same record, less the twin swaps, which the oracle builds
-only for the children it keeps generators for.  The search only reads
-the tables, so children share what they do not change.
+`above` lists (the blocks whose down-set holds each element).
+`canonical_search` builds them from the row masks and runs the one
+search body.  The oracle searches many children of one representative R
+of order k, each R topped with a new element k over an ideal s, so
+`ParentSetup` builds R's tables once and extends them per child.  No
+down-set of R changes, and k's is s: k joins the block with down-set s,
+or opens a block after all of R's, since its least member is k, and that
+block joins `above[y]` for each y in s.  These are the tables of a fresh
+set-up of the child, so the search returns the same record.  The search
+only reads the tables, so children share what they do not change.
 
 Resuming the parent's path.  The searches of R's children agree until
 the child's ideal s is placed.  Before that, k's block is unavailable:
@@ -237,7 +232,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Masks, PosetMatrix, default_labels, validate_masks
 
@@ -282,17 +277,18 @@ class CanonicalKey:
 
 def _masks(n: int, packed: int) -> Masks:
     """The row masks of an n x n bit-string packed MSB-first."""
-    masks = []
-    for y in range(n):
-        row = packed >> (n * (n - 1 - y)) & ((1 << n) - 1)
-        # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
-        mask = 0
-        while row:
-            low = row & -row
-            mask |= 1 << (n - low.bit_length())
-            row ^= low
-        masks.append(mask)
-    return tuple(masks)
+    return tuple(_row_mask(n, packed >> (n * (n - 1 - y)) & ((1 << n) - 1)) for y in range(n))
+
+
+def _row_mask(n: int, row: int) -> int:
+    """The low-bit row mask of one packed row of width n."""
+    # Packed rows hold column 0 in their top bit; masks hold it in bit 0.
+    mask = 0
+    while row:
+        low = row & -row
+        mask |= 1 << (n - low.bit_length())
+        row ^= low
+    return mask
 
 
 def _orbit(mask: int, gens: Sequence[Sequence[int]]) -> int:
@@ -326,11 +322,7 @@ def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None
     to the matrix less some maximal element, the result is None unless
     that class is the matrix's canonical parent (see above).
     """
-    record = _search(n, *_setup(n, row_masks), [] if parent is None else _bound(n - 1, parent))
-    if record is None:
-        return None
-    swaps = _swaps(n, _twin_pairs(n, row_masks))
-    return record._replace(generators=swaps + record.generators) if swaps else record
+    return _search(n, *_setup(n, row_masks), [] if parent is None else _bound(n - 1, parent))
 
 
 def _bound(width: int, parent: int) -> list[int]:
@@ -370,28 +362,6 @@ def _above(n: int, blocks: list[Block]) -> list[list[int]]:
     return above
 
 
-def _twin_pairs(n: int, row_masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Each element e with the last lower-indexed twin t of it, as (t, e) in order of e.
-
-    Twins have equal strict down- and up-sets; their swaps open a record's generators.
-    """
-    up = [0] * n  # up[e]: the strict up-set of element e, as a bitmask
-    for y in range(n):
-        rest = row_masks[y] & ~(1 << y)
-        while rest:
-            low = rest & -rest
-            up[low.bit_length() - 1] |= 1 << y
-            rest ^= low
-    last: dict[tuple[int, int], int] = {}  # (down, up) -> the last element seen with both
-    pairs = []
-    for e in range(n):
-        twin = (row_masks[e] & ~(1 << e), up[e])
-        if twin in last:
-            pairs.append((last[twin], e))
-        last[twin] = e
-    return pairs
-
-
 class ParentSetup:
     """A canonical representative R of order k, set up once for the searches of its children.
 
@@ -426,11 +396,6 @@ class ParentSetup:
         above = [self.opened[x] if s >> x & 1 else xs for x, xs in enumerate(self.above)]
         return self.blocks + [(s, 1 << self.k)], above
 
-    def twin_swaps(self, s: int) -> Generators:
-        """The twin swaps that open the generators of the child's record."""
-        n = self.k + 1
-        return _swaps(n, _twin_pairs(n, self.masks + (s | 1 << self.k,)))
-
     def start(self, s: int) -> tuple | None:
         """Where the child over s resumes R's path, as `_search` takes it; None to search from the root.
 
@@ -458,7 +423,7 @@ class ParentSetup:
         return depth, placed, cells, acc, list(self.whole.labelling), self.trail[:i], i
 
     def search(self, s: int) -> SearchRecord | None:
-        """`canonical_search` of the child bounded by R, with no twin swaps among its generators."""
+        """`canonical_search` of the child bounded by R."""
         if s == (1 << self.k) - 1:
             return self.whole
         blocks, above = self.setup(s)
@@ -475,8 +440,7 @@ def _search(
 ) -> SearchRecord | None:
     """The search body, on set-up blocks and `above` lists; `bound` pre-fills the first best rows.
 
-    A row below one of the `bound` rows ends the search with None.  The
-    record's generators are the automorphisms found, with no twin swaps.
+    A row below one of the `bound` rows ends the search with None.
     A node at depth k has placed output positions 0..k-1, as its open
     cells and the elements it has fixed in `chosen`.  The search starts
     at the root, or at `start` = (depth, placed, cells, acc, chosen,
@@ -495,6 +459,7 @@ def _search(
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
     held_trail: list[tuple[int, int]] = []  # the trail of the held leaf
+    held_cells: list[tuple[int, int, int]] = []  # the open cells of the held leaf: its twin classes
 
     def leaf(cells: list[tuple[int, int, int]]) -> int:
         """Take the leaf that `chosen` and the open `cells` give; return the depth to unwind to."""
@@ -508,6 +473,7 @@ def _search(
         if not held:
             held.extend(chosen)
             held_trail[:] = trail
+            held_cells[:] = cells
             return n
         # Same rows as the held leaf: held[i] -> chosen[i] is an automorphism
         # that maps every cell of the node where their paths part onto
@@ -619,12 +585,16 @@ def _search(
     packed = 0
     for row in best:
         packed = packed << n | row
-    return SearchRecord(packed, tuple(held), tuple(autos), nodes)
-
-
-def _swaps(n: int, pairs: Iterable[tuple[int, int]]) -> Generators:
-    """The swaps of twin `pairs`, which open the generators of a record."""
-    return tuple(_swap(n, t, e) for t, e in pairs)
+    swaps = []  # the swap of each twin with the previous one in its cell
+    for _, cell, _ in held_cells:
+        t = (cell & -cell).bit_length() - 1
+        cell &= cell - 1
+        while cell:
+            e = (cell & -cell).bit_length() - 1
+            swaps.append(_swap(n, t, e))
+            t = e
+            cell &= cell - 1
+    return SearchRecord(packed, tuple(held), (*swaps, *autos), nodes)
 
 
 # Twin swaps recur across inputs of one order, so records share them.
@@ -639,11 +609,10 @@ def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
 # Distinct matrices seen: 4,554 by the composition closure to order 7 and
 # 2,114 by a stream of 3,000 mixed library requests, so neither evicts; the
 # bound caps the memory of long-lived processes.  Only the packed key and
-# the automorphisms the search met are kept, with no twin swaps: the keys
-# that `canonical_form`, `are_isomorphic` and `CanonicalKey.parse` read
-# need none, and `position_orbits` builds its own.  A matrix with no
-# automorphism found shares one empty tuple, so an entry costs little more
-# than its key.
+# the record's generators are kept: `canonical_form`, `are_isomorphic` and
+# `CanonicalKey.parse` read the key, `position_orbits` the generators.  A
+# rigid matrix shares one empty tuple, so its entry costs little more than
+# its key.
 @lru_cache(maxsize=2**15)
 def _canonical_record(masks: Masks) -> tuple[int, Generators]:
     n = len(masks)
@@ -660,10 +629,9 @@ def position_orbits(m: PosetMatrix) -> list[int]:
     """Orbits of the positions of `m`, as bitmasks in order of their least position.
 
     The group is the one generated by the generators of the search record
-    of `m`: its twin swaps, then the automorphisms the search found (read
-    from the cache); a subgroup of Aut(m).
+    of `m`, read from the cache; a subgroup of Aut(m).
     """
-    gens = _swaps(m.order, _twin_pairs(m.order, m.masks)) + _canonical_record(m.masks)[1]
+    gens = _canonical_record(m.masks)[1]
     orbits = []
     covered = 0
     for x in range(m.order):

@@ -312,20 +312,24 @@ def induced_subposet(m: PosetMatrix, positions: Iterable[int]) -> PosetMatrix:
     return PosetMatrix(_principal(m.masks, pos), tuple(m.labels[p] for p in pos))
 
 
-def is_connected(m: PosetMatrix) -> bool:
-    """Connectivity of the comparability graph; order 1 is connected.
+def _components(masks: Sequence[int]) -> list[int]:
+    """The connected components of a poset's comparability graph, as bitmasks."""
+    components: list[int] = []
+    for row in masks:  # an element and its down-set lie in one component
+        merged = row
+        apart = []
+        for c in components:
+            if c & row:
+                merged |= c
+            else:
+                apart.append(c)
+        components = apart + [merged]
+    return components
 
-    The component of position 0 grows to a fixpoint: a row that meets it
-    belongs to an element above one of its members, which joins with its
-    down-set.
-    """
-    seen, last = m.masks[0], 0
-    while seen != last:
-        last = seen
-        for mask in m.masks:
-            if mask & seen:
-                seen |= mask
-    return seen == (1 << m.order) - 1
+
+def is_connected(m: PosetMatrix) -> bool:
+    """Connectivity of the comparability graph; order 1 is connected."""
+    return len(_components(m.masks)) == 1
 
 
 def hasse_edges(m: PosetMatrix) -> tuple[tuple[int, int], ...]:

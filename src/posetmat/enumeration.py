@@ -81,11 +81,12 @@ from .canon import (
     ParentSetup,
     SearchRecord,
     _orbit,
+    _row_mask,
     canonical_form,
     position_orbits,
 )
 from .compose import CompositionKind, compose
-from .core import Masks, PosetMatrix, default_labels, dual, is_connected
+from .core import Masks, PosetMatrix, _components, default_labels, dual, is_connected
 from .generators import (
     GENERATORS,
     ORDER5_DUAL_PAIRS,
@@ -244,21 +245,6 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
     return leaders
 
 
-def _components(masks: Sequence[int]) -> list[int]:
-    """The connected components of a poset's comparability graph, as bitmasks."""
-    components: list[int] = []
-    for row in masks:  # an element and its down-set lie in one component
-        merged = row
-        apart = []
-        for c in components:
-            if c & row:
-                merged |= c
-            else:
-                apart.append(c)
-        components = apart + [merged]
-    return components
-
-
 # A class of an oracle level: its packed key, the row masks of its canonical
 # matrix, whether it is connected, and generators of automorphisms of that
 # matrix (none on the last level).
@@ -272,7 +258,8 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
     representative with one ideal per orbit of its generators and keeps
     the child that passes both tests (see above): the bounded search
     accepts it, and k lies in the orbit of the child's canonical last
-    element under the child's generators.  A kept child's rows are the
+    element under its record's generators, twin swaps included, which
+    span Aut(child) (see canon).  A kept child's rows are the
     parent's plus its canonical last row, and it is connected when every
     component of the parent meets its ideal (see above).  Its generators
     are its search's, moved into canonical positions, or none when
@@ -291,12 +278,9 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
             if record is None:
                 continue  # R is not the child's canonical parent
             x = record.labelling[-1]
-            if x != k or not last:
-                record = record._replace(generators=parent.twin_swaps(s) + record.generators)
             if x != k and not _orbit(1 << x, record.generators) >> k & 1:
                 continue  # no automorphism of the child maps its canonical last element to k
-            # The key's last row holds column 0 in its top bit; a mask holds it in bit 0.
-            row = int(format(record.packed & last_row, f"0{k + 1}b")[::-1], 2)
+            row = _row_mask(k + 1, record.packed & last_row)
             connected = all(c & s for c in components)
             kept.append((record.packed, masks + (row,), connected, () if last else _in_canonical_positions(record)))
     return kept

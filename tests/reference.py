@@ -36,6 +36,10 @@ one to the other, with a backtracking search that shares nothing with
 the canonical search; tests compare the orbits of the generators that
 search records against it.
 
+`twin_classes` groups the elements by their strict down- and up-sets,
+read bit by bit from the row masks, where the canonical search reads
+the twin classes off the open cells of its held leaf.
+
 `group_order` closes a list of generators into the group they span, by
 breadth-first search over products, and `linear_extensions` counts a
 poset's linear extensions by a walk over its ideals.  Tests gate the
@@ -273,6 +277,17 @@ def packed_from_masks(n: int, row_masks) -> int:
     for row in rows:
         packed = (packed << n) | row
     return packed
+
+
+def twin_classes(masks) -> list[tuple[int, ...]]:
+    """The classes of elements with equal strict down- and up-sets, by least member."""
+    n = len(masks)
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    for e in range(n):
+        down = tuple(z for z in range(n) if z != e and masks[e] >> z & 1)
+        up = tuple(y for y in range(n) if y != e and masks[y] >> e & 1)
+        classes.setdefault((down, up), []).append(e)
+    return [tuple(c) for c in classes.values()]
 
 
 def ideals(masks, k: int) -> Iterator[int]:

@@ -213,13 +213,8 @@ def assert_prepared_search_is_the_fresh_search(n):
         child = parent.masks + (s | 1 << k,)
         assert parent.setup(s) == canon._setup(k + 1, child), (k, s)
         record = parent.search(s)
-        fresh = canonical_search(k + 1, child, packed)
-        if record is None:
-            assert fresh is None, (k, s)
-        else:
-            accepted += 1
-            assert parent.twin_swaps(s) == canon._swaps(k + 1, canon._twin_pairs(k + 1, child)), (k, s)
-            assert record._replace(generators=parent.twin_swaps(s) + record.generators) == fresh, (k, s)
+        assert record == canonical_search(k + 1, child, packed), (k, s)
+        accepted += record is not None
     return accepted
 
 
@@ -235,14 +230,9 @@ def test_prepared_search_is_the_fresh_search_order8():
 
 
 def assert_child_search_is_the_fresh_search(packed, parent, s):
-    """`parent.search(s)` is the bounded `canonical_search` of the child, less its twin swaps."""
-    record = parent.search(s)
+    """`parent.search(s)` is the bounded `canonical_search` of the child."""
     fresh = canonical_search(parent.k + 1, parent.masks + (s | 1 << parent.k,), packed)
-    if fresh is None:
-        assert record is None, (parent.masks, s)
-    else:
-        swaps = len(parent.twin_swaps(s))
-        assert record == fresh._replace(generators=fresh.generators[swaps:]), (parent.masks, s)
+    assert parent.search(s) == fresh, (parent.masks, s)
 
 
 def assert_resumed_search_is_the_search_from_the_root(n):
@@ -285,7 +275,7 @@ def test_a_parent_whose_path_branches_searches_from_the_root():
     masks = (1, 2, 6, 10, 17)
     packed = canonical_search(5, masks).packed
     assert CanonicalKey(5, packed).matrix().masks == masks
-    assert canon._twin_pairs(5, masks) == [(2, 3)]
+    assert (0, 1, 3, 2, 4) in canonical_search(5, masks).generators
     parent = ParentSetup(packed, masks)
     assert parent.path is None
     for s in ideals(masks, 5):
