@@ -54,8 +54,7 @@ strings, for three reasons:
 A block's rows are compared with the best rows one by one: the first
 that differs cuts the child or lowers the best string from there on.
 Two blocks can give the same rows, with different down-sets that meet
-each cell equally often; both are searched.  The search takes one frame
-per block, so a chain needs one per element and an antichain one.
+each cell equally often; both are searched.
 
 Two leaves with identical rows differ by an automorphism of the poset:
 placing held[i] at position i and placing chosen[i] there give the same
@@ -139,7 +138,7 @@ and the automorphisms it met, so no caller searches twice:
   held leaf, which are exactly its twin classes (see Leaves), open the
   record's generators: in each cell, the swap of each element with the
   previous one, and those generate every reordering of a twin class.
-* `nodes` is the number of search frames, one per node.
+* `nodes` is the number of nodes opened.
 
 The oracle's generators span Aut(P) on every class to order 8.
 Evidence, by orbit counts: with G(P) the group they span and e(P) the
@@ -211,25 +210,14 @@ the recorded record for it.
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
 part of block b's down-set: fixing x at position p sets the bit of
-column p in `acc` of every block above x, and backtracking clears it.
-A block's row is `acc[b]` plus, for each open cell, its count of
-down-set members packed at the cell's end, with no walk over the prefix.
-
-Freeing the state.  The search body calls itself through its own closure
-cell, so the function, the cell and every list the search built form a
-reference cycle.  Every exit of `_search` (a record, the bounded None,
-and the refusal of an order past the recursion limit) empties that cell,
-so reference counting frees the state when the search returns.  Left to
-the cyclic collector, each search left some 35 objects to it, and the
-collections they set off ran inside whichever later call crossed a
-threshold: a search of a few nodes then took several times as long.  The
-package never calls `gc`: its switches and thresholds are process-wide,
-and they belong to the program that imports it.
+column p in the child's copy of `acc` for every block above x, so no
+node's `acc` changes once it is open.  A block's row is `acc[b]` plus,
+for each open cell, its count of down-set members packed at the cell's
+end, with no walk over the prefix.
 """
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -312,7 +300,7 @@ class SearchRecord(NamedTuple):
     packed: int  # the least rows as one bit-string, row 0 first, column 0 in each row's top bit
     labelling: tuple[int, ...]  # the input element placed at each canonical position
     generators: Generators  # automorphisms of the input: twin swaps, then those the search found
-    nodes: int  # search frames, one per node that places a block
+    nodes: int  # nodes opened, each placing a block
 
 
 def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
@@ -442,10 +430,21 @@ def _search(
 
     A row below one of the `bound` rows ends the search with None.
     A node at depth k has placed output positions 0..k-1, as its open
-    cells and the elements it has fixed in `chosen`.  The search starts
-    at the root, or at `start` = (depth, placed, cells, acc, chosen,
-    trail, nodes before it) from `ParentSetup.start`.  `path`, if given,
-    receives (depth, placed, cells, acc) of every node, in visiting order.
+    cells (first position, members, n - end position) and the elements
+    it has fixed in `chosen`.  The search starts at the root, or at
+    `start` = (depth, placed, cells, acc, chosen, trail, nodes before it)
+    from `ParentSetup.start`.  `path`, if given, receives (depth, placed,
+    cells, acc) of every node, in visiting order.
+
+    The open nodes form a stack, the first node at the bottom.  Each
+    entry holds the node's depth, placed elements, cells and `acc`, an
+    iterator over its blocks in order of row, the count of automorphisms
+    found before it opened, and the orbit of the blocks it has searched
+    under those found since, which map every cell of the node onto
+    itself.  The deepest node follows its next block: it opens a child
+    with a copy of its `acc`, or takes a leaf.  A node with no block
+    left closes, and so does every node below the one where two leaves
+    part; the node then on top adds the block it followed to its orbit.
     """
     sentinel = 1 << (n + 1)
     bounded = len(bound)
@@ -454,62 +453,36 @@ def _search(
         start = 0, 0, [], [0] * len(blocks), [0] * n, [], 0
     # chosen[p]: the element at position p, once fixed;
     # acc[b]: output-row bits of the fixed part of block b's down-set;
-    # trail: (depth, block) of each node on the path to the current one.
-    depth, placed, cells, acc, chosen, trail, nodes = start
+    # trail: (depth, block) of each node on the path to the deepest one;
+    # a leaf adds no entry, since its node has only the one block.
+    k, placed, cells, acc, chosen, trail, nodes = start
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
     held_trail: list[tuple[int, int]] = []  # the trail of the held leaf
     held_cells: list[tuple[int, int, int]] = []  # the open cells of the held leaf: its twin classes
-
-    def leaf(cells: list[tuple[int, int, int]]) -> int:
-        """Take the leaf that `chosen` and the open `cells` give; return the depth to unwind to."""
-        # Every open cell holds twins, placed by index.
-        for first, cell, _ in cells:
-            while cell:
-                low = cell & -cell
-                chosen[first] = low.bit_length() - 1
-                first += 1
-                cell ^= low
-        if not held:
-            held.extend(chosen)
-            held_trail[:] = trail
-            held_cells[:] = cells
-            return n
-        # Same rows as the held leaf: held[i] -> chosen[i] is an automorphism
-        # that maps every cell of the node where their paths part onto
-        # itself, and the block searched there already onto the one chosen now.
-        gamma = [0] * n
-        for i in range(n):
-            gamma[held[i]] = chosen[i]
-        autos.append(tuple(gamma))
-        return next(node[0] for node, other in zip(trail, held_trail) if node != other)
-
-    def rec(k: int, placed: int, cells: list[tuple[int, int, int]]) -> int:
-        """Search below the node at depth k; return the depth to unwind to (n: none, -1: all).
-
-        `placed` is the elements placed at positions 0..k-1 and `cells`
-        its open cells as (first position, members, n - end position).
-        The automorphisms appended to `autos` while this call runs map
-        every cell of this node onto itself; only they prune its children.
-        """
-        nonlocal nodes
-        nodes += 1
-        if path is not None:
-            path.append((k, placed, cells, acc.copy()))
-        candidates = []
-        for b, (below, block) in enumerate(blocks):
-            if placed & block or below & ~placed:
-                continue
-            # The block's row less its diagonal: its down-set packed at the end of each cell.
-            row = acc[b]
-            for _, cell, shift in cells:
-                inner = (cell & below).bit_count()
-                if inner:
-                    row |= ((1 << inner) - 1) << shift
-            candidates.append((row, b))
-        candidates.sort()
-        start = len(autos)
-        explored = 0  # orbit of the blocks searched so far, under autos[start:]
+    stack: list[list] = []  # the open nodes (see above)
+    opening = True  # whether (k, placed, cells, acc) is a node to open
+    while True:
+        if opening:
+            nodes += 1
+            if path is not None:
+                path.append((k, placed, cells, acc))
+            candidates = []
+            for b, (below, block) in enumerate(blocks):
+                if placed & block or below & ~placed:
+                    continue
+                # The block's row less its diagonal: its down-set packed at the end of each cell.
+                row = acc[b]
+                for _, cell, shift in cells:
+                    inner = (cell & below).bit_count()
+                    if inner:
+                        row |= ((1 << inner) - 1) << shift
+                candidates.append((row, b))
+            candidates.sort()
+            stack.append([k, placed, cells, acc, iter(candidates), len(autos), 0])
+            opening = False
+        k, placed, cells, acc, candidates, _, explored = stack[-1]
+        to = k - 1  # the depth to unwind to; k - 1 closes this node only
         for row, b in candidates:
             if row | 1 << (n - 1 - k) > best[k]:
                 break
@@ -524,7 +497,7 @@ def _search(
                 if row | 1 << (n - 1 - j) > best[j]:
                     continue
                 if j < bounded:
-                    return -1
+                    return None
                 best[j:] = [row | 1 << (n - 1 - i) for i in range(j, end)] + [sentinel] * (n - end)
                 held.clear()
             # Split every cell the down-set meets, non-members first; a part
@@ -548,40 +521,46 @@ def _search(
                 fixed.append((block.bit_length() - 1, k))
             for x, p in fixed:
                 chosen[p] = x
-            trail.append((k, block))
-            if end == n:
-                depth = leaf(split)
-                trail.pop()
-                return depth
-            for x, p in fixed:
-                bit = 1 << (n - 1 - p)
-                for c in above[x]:
-                    acc[c] |= bit
-            depth = rec(end, placed | block, split)
-            for x, p in fixed:
-                bit = 1 << (n - 1 - p)
-                for c in above[x]:
-                    acc[c] ^= bit
-            trail.pop()
-            if depth < k:
-                return depth
-            explored |= block
-            if len(autos) > start:
-                explored = _orbit(explored, autos[start:])
-        return n
-
-    try:
-        if rec(depth, placed, cells) < 0:
-            return None
-    except RecursionError:
-        # One frame per placed block: the order, not the input, is at fault.
-        raise ValueError(
-            f"order {n} is too large for the canonical search (recursion limit {sys.getrecursionlimit()})"
-        ) from None
-    finally:
-        # `rec` reaches itself through its closure cell; emptying the cell
-        # lets reference counting free the search's state (see above).
-        del rec
+            if end < n:
+                acc = acc.copy()
+                for x, p in fixed:
+                    bit = 1 << (n - 1 - p)
+                    for c in above[x]:
+                        acc[c] |= bit
+                trail.append((k, block))
+                k, placed, cells = end, placed | block, split
+                opening = True
+                break
+            # A leaf: this node's only block.  Every open cell holds twins, placed by index.
+            for p, cell, _ in split:
+                while cell:
+                    low = cell & -cell
+                    chosen[p] = low.bit_length() - 1
+                    p += 1
+                    cell ^= low
+            if not held:
+                held, held_trail, held_cells = chosen.copy(), trail.copy(), split
+                break
+            # Same rows as the held leaf: held[i] -> chosen[i] is an automorphism
+            # that maps every cell of the node where their paths part onto
+            # itself, and the block searched there already onto the one chosen now.
+            gamma = [0] * n
+            for i in range(n):
+                gamma[held[i]] = chosen[i]
+            autos.append(tuple(gamma))
+            to = next(node[0] for node, other in zip(trail, held_trail) if node != other)
+            break
+        if opening:
+            continue
+        if to < stack[0][0]:
+            break  # the first node is closed
+        while stack[-1][0] > to:
+            stack.pop()
+            block = trail.pop()[1]
+        node = stack[-1]
+        node[6] |= block
+        if len(autos) > node[5]:
+            node[6] = _orbit(node[6], autos[node[5]:])
     packed = 0
     for row in best:
         packed = packed << n | row

@@ -351,6 +351,25 @@ def test_relabelled_crowns_take_linearly_many_nodes(k):
         assert record.nodes <= CROWN_NODES_PER_POINT * 2 * k, (k, record.nodes)
 
 
+def test_search_work_is_pinned():
+    # Summed (nodes, generators) over every labelled matrix of each order: a
+    # search that lost an orbit skip or an unwind could keep every key and
+    # still change these.
+    expected = {1: (1, 0), 2: (3, 1), 3: (14, 4), 4: (105, 29), 5: (1211, 270), 6: (20548, 3509)}
+    for n, sums in expected.items():
+        records = [canonical_search(n, rows) for rows in iter_matrices(n)]
+        assert (sum(r.nodes for r in records), sum(len(r.generators) for r in records)) == sums, n
+    families = {
+        "2-chains": (lambda k: disjoint_chains(k, 2), [(11, 3), (22, 5), (56, 9)]),
+        "crown": (crown, [(10, 2), (16, 2), (28, 2)]),
+    }
+    for name, (family, pinned) in families.items():
+        for k, work in zip((4, 6, 10), pinned):
+            down = family(k)
+            record = canonical_search(len(down), [d | 1 << e for e, d in enumerate(down)])
+            assert (record.nodes, len(record.generators)) == work, (name, k)
+
+
 def test_every_key_to_order_7_decodes_to_its_own_matrix():
     for n in range(1, 8):
         for key in enumerate_oracle(n).entries:
@@ -521,15 +540,6 @@ def test_generator_orbits_are_the_automorphism_orbits_of_the_closure_representat
         assert position_orbits(m) == automorphism_orbits(m.masks), m.masks
 
 
-def refuse_a_long_chain():
-    refused = False
-    try:
-        canonical_search(1100, tuple((2 << y) - 1 for y in range(1100)))
-    except ValueError:
-        refused = True
-    assert refused
-
-
 I2_KEY, C2_KEY = 0b1001, 0b1011  # the 2-antichain and 2-chain, as packed keys
 V_TEXT = "3\n1 0 0\n0 1 0\n1 1 1\n"
 
@@ -539,7 +549,8 @@ LIBRARY_CALLS = {
     # The accepted and rejected child of test_bounded_search_returns_the_record_of_an_accepted_child.
     "bounded-accept": lambda: canonical_search(3, (1, 2, 4), I2_KEY),
     "bounded-reject": lambda: canonical_search(3, (1, 2, 4), C2_KEY),
-    "refused-chain": refuse_a_long_chain,
+    # Two disjoint 2-chains: the second leaf finds (2, 3, 0, 1) and unwinds.
+    "unwinding-search": lambda: canonical_search(4, (1, 3, 4, 12)),
     "parent-setup": lambda: [ParentSetup(C2_KEY, (1, 3)).search(s) for s in (0, 1, 3)],  # rejects, accepts, accepts
     "canonical_form": lambda: canonical_form(parse_matrix(V_TEXT)),
     "are_isomorphic": lambda: are_isomorphic(parse_matrix(V_TEXT), dual(parse_matrix(V_TEXT))),
