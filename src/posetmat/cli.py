@@ -14,6 +14,7 @@ from .compose import CompositionKind, compose
 from .core import (
     InvalidPosetError,
     MalformedMatrixError,
+    PosetError,
     PosetMatrix,
     dual,
     hasse_edges,
@@ -123,7 +124,12 @@ def _cmd_eval(args) -> int:
         if not defs.is_dir():
             raise NotADirectoryError(f"--defs {args.defs}: not a directory")
         for path in sorted(defs.glob("*.pm")):
-            symbols[path.stem] = parse_matrix(path.read_text())
+            try:
+                symbols[path.stem] = parse_matrix(path.read_text())
+            except (MatrixParseError, PosetError) as err:
+                # The same error, so the same exit code, naming the file it came from.
+                err.args = (f"{path}: {err}",)
+                raise
     return _print_result(eval_recipe(parse_recipe(args.expr, symbols)))
 
 

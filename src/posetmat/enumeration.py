@@ -31,16 +31,10 @@ Two independent routes:
   Each kept class carries the automorphisms its search found, moved into
   canonical positions through the search's labelling.
 
-  Each kept class also carries its rows and its connected flag, so no
-  level decodes a key or walks a matrix.  Rows: a kept child C has R as
-  its canonical parent, so rows 0..k-1 of C's canonical matrix are R's
-  (see canon), and only its last row is read from C's key.
-  Connectivity: C is connected iff every component of R meets s.  The
-  new element k is above exactly the elements of s and below nothing,
-  so deleting k leaves R's components, and k joins exactly those that
-  meet s.  If one misses s it stays a component of C apart from k; if
-  all meet s they join through k.  (An empty s leaves k alone, and R has
-  at least one component.)
+  Each kept class also carries its rows, so no level decodes a key: a
+  kept child C has R as its canonical parent, so rows 0..k-1 of C's
+  canonical matrix are R's (see canon), and only its last row is read
+  from C's key.
 
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
@@ -86,7 +80,7 @@ from .canon import (
     position_orbits,
 )
 from .compose import CompositionKind, compose
-from .core import Masks, PosetMatrix, _components, default_labels, dual, is_connected
+from .core import Masks, PosetMatrix, default_labels, dual, is_connected
 from .generators import (
     GENERATORS,
     ORDER5_DUAL_PAIRS,
@@ -120,8 +114,11 @@ class CatalogIntegrityError(Exception):
 @dataclass(frozen=True)
 class CatalogEntry:
     representative: PosetMatrix
-    connected: bool
     recipe: str | None = None
+
+    @property
+    def connected(self) -> bool:
+        return is_connected(self.representative)
 
 
 @dataclass
@@ -211,10 +208,10 @@ def _catalog(
     order: int, found: Mapping[int, tuple[str | None, PosetMatrix]], invalid: int = 0
 ) -> ClassCatalog:
     """The classes of one order from packed key -> (recipe, representative), sorted by key."""
-    entries = {
-        CanonicalKey(order, packed): CatalogEntry(rep, is_connected(rep), recipe)
-        for packed, (recipe, rep) in sorted(found.items())
-    }
+    entries = {}
+    for packed in sorted(found):  # sorting the keys, not the items, builds no tuple per class
+        recipe, rep = found[packed]
+        entries[CanonicalKey(order, packed)] = CatalogEntry(rep, recipe)
     return ClassCatalog(order, entries, invalid)
 
 
@@ -246,9 +243,9 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
 
 
 # A class of an oracle level: its packed key, the row masks of its canonical
-# matrix, whether it is connected, and generators of automorphisms of that
-# matrix (none on the last level).
-Representative = tuple[int, Masks, bool, Generators]
+# matrix, and generators of automorphisms of that matrix (none on the last
+# level).
+Representative = tuple[int, Masks, Generators]
 
 
 def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Representative]:
@@ -259,20 +256,17 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
     the child that passes both tests (see above): the bounded search
     accepts it, and k lies in the orbit of the child's canonical last
     element under its record's generators, twin swaps included, which
-    span Aut(child) (see canon).  A kept child's rows are the
-    parent's plus its canonical last row, and it is connected when every
-    component of the parent meets its ideal (see above).  Its generators
-    are its search's, moved into canonical positions, or none when
-    `last` says no level follows.
+    span Aut(child) (see canon).  A kept child's rows are the parent's
+    plus its canonical last row.  Its generators are its search's, moved
+    into canonical positions, or none when `last` says no level follows.
     """
     parents, k, last = args
     last_row = (1 << (k + 1)) - 1
     kept: list[Representative] = []
-    for packed, masks, _, gens in parents:
+    for packed, masks, gens in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         parent = ParentSetup(packed, masks)
-        components = _components(masks)
         for s in _ideal_orbit_leaders(masks, k, gens):
             record = parent.search(s)
             if record is None:
@@ -281,8 +275,7 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
             if x != k and not _orbit(1 << x, record.generators) >> k & 1:
                 continue  # no automorphism of the child maps its canonical last element to k
             row = _row_mask(k + 1, record.packed & last_row)
-            connected = all(c & s for c in components)
-            kept.append((record.packed, masks + (row,), connected, () if last else _in_canonical_positions(record)))
+            kept.append((record.packed, masks + (row,), () if last else _in_canonical_positions(record)))
     return kept
 
 
@@ -296,20 +289,16 @@ def _in_canonical_positions(record: SearchRecord) -> Generators:
 
 def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[Representative]]:
     """The classes of orders 1..n, one level per order, each built from the level before."""
-    levels: list[list[Representative]] = [[(1, (1,), True, ())]]  # the one-element poset; it packs to 1
+    levels: list[list[Representative]] = [[(1, (1,), ())]]  # the one-element poset; it packs to 1
     for k in range(1, n):
         levels.append([child for chunk in chunk_map(_extend_chunk, levels[-1], k, k + 1 == n) for child in chunk])
     return levels
 
 
 def _oracle_catalog(order: int, level: list[Representative]) -> ClassCatalog:
-    """The catalog of one oracle level, sorted by key, with the level's rows and flags."""
+    """The catalog of one oracle level, sorted by key, with the level's rows."""
     labels = default_labels(order)
-    entries = {
-        CanonicalKey(order, packed): CatalogEntry(PosetMatrix(masks, labels), connected)
-        for packed, masks, connected, _ in sorted(level)
-    }
-    return ClassCatalog(order, entries)
+    return _catalog(order, {packed: (None, PosetMatrix(masks, labels)) for packed, masks, _ in level})
 
 
 def enumerate_oracle(n: int, workers: int = 1) -> ClassCatalog:
@@ -446,7 +435,7 @@ def run_order5_table() -> ClassCatalog:
                 f"row {row_number} ({recipe}): same class as earlier row ({earlier})"
             )
         row_key[row_number] = key
-        catalog.entries[key] = CatalogEntry(matrix.relabelled(), True, recipe)
+        catalog.entries[key] = CatalogEntry(matrix.relabelled(), recipe)
     for first, second in ORDER5_DUAL_PAIRS:
         if canonical_form(dual(row_key[first].matrix())) != row_key[second]:
             raise CatalogIntegrityError(

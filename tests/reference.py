@@ -330,7 +330,7 @@ def catalog_from_packed(order: int, packed_keys) -> posetmat.ClassCatalog:
     entries = {}
     for packed in sorted(set(packed_keys)):
         key = posetmat.CanonicalKey(order, packed)
-        entries[key] = posetmat.CatalogEntry(key.matrix(), posetmat.is_connected(key.matrix()))
+        entries[key] = posetmat.CatalogEntry(key.matrix())
     return posetmat.ClassCatalog(order, entries)
 
 

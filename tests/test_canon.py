@@ -370,6 +370,26 @@ def test_search_work_is_pinned():
             assert (record.nodes, len(record.generators)) == work, (name, k)
 
 
+# The 7-point zigzag as full row masks: minima 0 to 3, and maxima over {0, 1}, {1, 2} and {2, 3}.
+ZIGZAG7 = (1, 2, 4, 8, 0b10011, 0b100110, 0b1001100)
+
+
+def zigzag_union(k: int) -> list[int]:
+    """k disjoint copies of the 7-point zigzag, copy j on points 7j to 7j+6."""
+    return [mask << 7 * j for j in range(k) for mask in ZIGZAG7]
+
+
+def test_zigzag_unions_take_exponentially_many_nodes():
+    # Each copy's reflection doubles the work: the generators are exactly
+    # 1.5 * 2^k - 2 and the nodes about 18 * 2^k.  A pruning change that
+    # moves these says so, with the new values.
+    pinned = [(7, 1), (33, 4), (95, 10), (229, 22), (507, 46), (1073, 94), (2215, 190), (4509, 382)]
+    for k, work in enumerate(pinned, 1):
+        record = canonical_search(7 * k, zigzag_union(k))
+        assert (record.nodes, len(record.generators)) == work, k
+        assert len(record.generators) == 3 * 2 ** (k - 1) - 2
+
+
 def test_every_key_to_order_7_decodes_to_its_own_matrix():
     for n in range(1, 8):
         for key in enumerate_oracle(n).entries:

@@ -222,6 +222,31 @@ def test_eval_defs_must_be_a_directory(tmp_path, capsys):
     assert err == f"error: --defs {missing}: not a directory\n"
 
 
+def test_eval_names_the_def_file_that_fails_to_parse(tmp_path, capsys):
+    defs = tmp_path / "defs"
+    defs.mkdir()
+    (defs / "X.pm").write_text("2\n1 0\n1 2\n")
+    code, out, err = run(capsys, "eval", "X sq@1 Y", "--defs", str(defs))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {defs / 'X.pm'}: line 3: entry '2' is not 0 or 1\n"
+
+
+def test_eval_names_the_def_file_not_in_a_linear_extension(tmp_path, capsys):
+    defs = tmp_path / "defs"
+    defs.mkdir()
+    (defs / "v.pm").write_text(VEE)
+    (defs / "w.pm").write_text(UPPER_ENTRY)
+    # The recipe does not use w, but every def file is read.
+    code, out, err = run(capsys, "eval", "v sq@3 C2", "--defs", str(defs))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {defs / 'w.pm'}: storage order is not a linear extension; "
+        "apply normalize_linear_extension first\n"
+    )
+
+
 def test_eval_unknown_name_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "C2 sq@1 Zed")
     assert code == 2

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +11,10 @@ from posetmat import (
     canonical_form,
     compose,
     dual,
+    enumerate_oracle,
 )
-from posetmat.generators import antichain, chain
+from posetmat.core import maximal_elements, minimal_elements
+from posetmat.generators import C2, I2, antichain, chain
 
 from conftest import poset_matrices
 
@@ -246,3 +251,141 @@ def test_composition_of_chains_is_a_chain():
     out = compose(chain(3), CompositionKind.SQUARE, 2, chain(4))
     assert out.valid
     assert out.rows == chain(6).rel
+
+
+# Operad laws.  The operands are the oracle's class representatives, and
+# each law compares the two sides' row masks, both relabelled 1..n.
+
+SQ, UP, DN = ALL_KINDS
+
+
+def class_representatives(*orders):
+    return [e.representative for n in orders for e in enumerate_oracle(n).entries.values()]
+
+
+def composed(a, kind, i, b):
+    """`a kind@i b` relabelled, or None when either operand is None or the output is no poset."""
+    if a is None or b is None:
+        return None
+    out = compose(a, kind, i, b, relabel=True)
+    return out.poset() if out.valid else None
+
+
+def outcome(left, right):
+    if left is None or right is None:
+        return "both invalid" if left is right else "one side invalid"
+    if left.masks == right.masks:
+        return "equal"
+    return "isomorphic" if canonical_form(left) == canonical_form(right) else "not isomorphic"
+
+
+def sequential_census(kind):
+    """Outcomes of (A o_i B) o_(i+j-1) C against A o_i (B o_j C), over the classes of orders 2 and 3."""
+    operands = class_representatives(2, 3)
+    outcomes = Counter()
+    for a, b, c in itertools.product(operands, repeat=3):
+        for i in range(1, a.order + 1):
+            for j in range(1, b.order + 1):
+                left = composed(composed(a, kind, i, b), kind, i + j - 1, c)
+                right = composed(a, kind, i, composed(b, kind, j, c))
+                outcomes[outcome(left, right)] += 1
+    return outcomes
+
+
+def parallel_census(kind):
+    """Outcomes of (A o_i B) o_(k+|B|-1) C against (A o_k C) o_i B for i < k.
+
+    A ranges over the classes of orders 2 to 4, B and C over those of orders 1 to 3.
+    """
+    operands = class_representatives(1, 2, 3)
+    outcomes = Counter()
+    for a in class_representatives(2, 3, 4):
+        for b, c in itertools.product(operands, repeat=2):
+            for i, k in itertools.combinations(range(1, a.order + 1), 2):
+                left = composed(composed(a, kind, i, b), kind, k + b.order - 1, c)
+                right = composed(composed(a, kind, k, c), kind, i, b)
+                outcomes[outcome(left, right)] += 1
+    return outcomes
+
+
+# The triangle kinds fail the sequential law, even up to isomorphism.
+TRIANGLE_SEQUENTIAL = {"equal": 2278, "not isomorphic": 200, "one side invalid": 49}
+# The triangle kinds obey the parallel law wherever both sides are valid.
+TRIANGLE_PARALLEL = {"equal": 6640, "one side invalid": 424, "both invalid": 168}
+
+
+@pytest.mark.parametrize(
+    "kind, expected", [(SQ, {"equal": 2527}), (UP, TRIANGLE_SEQUENTIAL), (DN, TRIANGLE_SEQUENTIAL)]
+)
+def test_sequential_law_census(kind, expected):
+    assert sequential_census(kind) == expected
+
+
+@pytest.mark.parametrize(
+    "kind, expected", [(SQ, {"equal": 7232}), (UP, TRIANGLE_PARALLEL), (DN, TRIANGLE_PARALLEL)]
+)
+def test_parallel_law_census(kind, expected):
+    assert parallel_census(kind) == expected
+
+
+def test_smallest_sequential_witness_for_tri_up():
+    left = composed(composed(C2, UP, 1, C2), UP, 2, I2)
+    right = composed(C2, UP, 1, composed(C2, UP, 2, I2))
+    assert left.masks == (1, 2, 4, 15)
+    assert right.masks == (1, 3, 5, 15)
+    assert canonical_form(left) != canonical_form(right)
+
+
+def test_the_point_is_a_left_unit_for_every_kind():
+    one = chain(1)
+    for b in class_representatives(1, 2, 3, 4):
+        for kind in ALL_KINDS:
+            assert compose(one, kind, 1, b, relabel=True).masks == b.masks
+
+
+def test_the_point_is_a_right_unit_exactly_at_extreme_positions_for_triangles():
+    one = chain(1)
+    unchanged = {kind: set() for kind in ALL_KINDS}
+    pairs = set()
+    extreme = set()
+    for a in class_representatives(2, 3, 4):
+        for i in range(1, a.order + 1):
+            pairs.add((a.masks, i))
+            if i - 1 in minimal_elements(a) or i - 1 in maximal_elements(a):
+                extreme.add((a.masks, i))
+            for kind in ALL_KINDS:
+                if compose(a, kind, i, one, relabel=True).masks == a.masks:
+                    unchanged[kind].add((a.masks, i))
+    assert len(pairs) == 83
+    assert unchanged[SQ] == pairs
+    # up and dn change A exactly where position i is neither minimal nor maximal in A.
+    assert unchanged[UP] == unchanged[DN] == extreme
+    assert len(pairs - extreme) == 10
+
+
+@given(
+    poset_matrices(max_order=4),
+    poset_matrices(max_order=4),
+    poset_matrices(max_order=4),
+    st.data(),
+)
+def test_square_sequential_law(a, b, c, data):
+    i = data.draw(st.integers(1, a.order))
+    j = data.draw(st.integers(1, b.order))
+    left = composed(composed(a, SQ, i, b), SQ, i + j - 1, c)
+    right = composed(a, SQ, i, composed(b, SQ, j, c))
+    assert left.masks == right.masks
+
+
+@given(
+    poset_matrices(min_order=2, max_order=5),
+    poset_matrices(max_order=4),
+    poset_matrices(max_order=4),
+    st.data(),
+)
+def test_square_parallel_law(a, b, c, data):
+    i = data.draw(st.integers(1, a.order - 1))
+    k = data.draw(st.integers(i + 1, a.order))
+    left = composed(composed(a, SQ, i, b), SQ, k + b.order - 1, c)
+    right = composed(composed(a, SQ, k, c), SQ, i, b)
+    assert left.masks == right.masks

@@ -118,27 +118,25 @@ def assert_oracle_levels_hold_each_class_once(n):
         with enumeration._ChunkMap(workers) as chunk_map:
             levels[workers] = enumeration._oracle_levels(n, chunk_map)
     for k, level in enumerate(levels[1], 1):
-        assert len(level) == len({packed for packed, _, _, _ in level}) == KNOWN_COUNTS[k][0]
+        assert len(level) == len({packed for packed, _, _ in level}) == KNOWN_COUNTS[k][0]
     assert [sorted(level) for level in levels[1]] == [sorted(level) for level in levels[2]]
 
 
-def assert_oracle_levels_carry_each_class_rows_and_flag(n):
+def assert_oracle_levels_carry_each_class_rows(n):
     with enumeration._ChunkMap(1) as chunk_map:
         levels = enumeration._oracle_levels(n, chunk_map)
     for k, level in enumerate(levels, 1):
-        for packed, masks, connected, _ in level:
-            matrix = CanonicalKey(k, packed).matrix()
-            assert masks == matrix.masks, (k, packed)
-            assert connected == is_connected(matrix), (k, packed)
+        for packed, masks, _ in level:
+            assert masks == CanonicalKey(k, packed).matrix().masks, (k, packed)
 
 
-def test_oracle_levels_carry_each_class_rows_and_flag():
-    assert_oracle_levels_carry_each_class_rows_and_flag(7)
+def test_oracle_levels_carry_each_class_rows():
+    assert_oracle_levels_carry_each_class_rows(7)
 
 
 @pytest.mark.slow
-def test_oracle_levels_carry_each_class_rows_and_flag_order8():
-    assert_oracle_levels_carry_each_class_rows_and_flag(8)
+def test_oracle_levels_carry_each_class_rows_order8():
+    assert_oracle_levels_carry_each_class_rows(8)
 
 
 def test_oracle_levels_hold_each_class_once():
@@ -154,11 +152,12 @@ def test_oracle_levels_hold_each_class_once_order8():
 def test_oracle_order9_last_level():
     with enumeration._ChunkMap(1) as chunk_map:
         last = enumeration._oracle_levels(9, chunk_map)[-1]
-    keys = [packed for packed, _, _, _ in last]
+    keys = [packed for packed, _, _ in last]
     assert len(keys) == len(set(keys)) == KNOWN_COUNTS[9][0] == 183_231
-    assert sum(connected for _, _, connected, _ in last) == KNOWN_COUNTS[9][1] == 163_341
-    # The carried flags are those of the decoded matrices.
-    assert all(connected == is_connected(CanonicalKey(9, packed).matrix()) for packed, _, connected, _ in last)
+    labels = default_labels(9)
+    assert sum(is_connected(PosetMatrix(masks, labels)) for _, masks, _ in last) == KNOWN_COUNTS[9][1] == 163_341
+    # The carried rows are those of the decoded matrices.
+    assert all(masks == CanonicalKey(9, packed).matrix().masks for packed, masks, _ in last)
 
 
 def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
@@ -186,7 +185,7 @@ def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
 
 def oracle_levels_with_generators(n):
     """The oracle's levels of orders 1..n, each class with the generators `_extend_chunk` finds for it."""
-    levels = [[(1, (1,), True, ())]]
+    levels = [[(1, (1,), ())]]
     for k in range(1, n):
         levels.append(enumeration._extend_chunk((levels[-1], k, False)))
     return levels
@@ -199,7 +198,7 @@ def oracle_candidates(n):
     the generators that `_extend_chunk` found for them.
     """
     for k, parents in enumerate(oracle_levels_with_generators(n - 1), 1):
-        for packed, masks, _, gens in parents:
+        for packed, masks, gens in parents:
             parent = ParentSetup(packed, masks)
             for s in enumeration._ideal_orbit_leaders(masks, k, gens):
                 yield packed, parent, s
@@ -240,7 +239,7 @@ def assert_resumed_search_is_the_search_from_the_root(n):
     with enumeration._ChunkMap(1) as chunk_map:
         levels = enumeration._oracle_levels(n, chunk_map)
     for k, level in enumerate(levels, 1):
-        for packed, masks, _, _ in level:
+        for packed, masks, _ in level:
             parent = ParentSetup(packed, masks)
             for s in ideals(masks, k):
                 assert_child_search_is_the_fresh_search(packed, parent, s)
@@ -298,9 +297,9 @@ def assert_generators_span_every_automorphism_group(n):
     for every class (see canon).
     """
     for k, level in enumerate(oracle_levels_with_generators(n), 1):
-        orders = [group_order(k, gens) for _, _, _, gens in level]
+        orders = [group_order(k, gens) for _, _, gens in level]
         assert sum(Fraction(math.factorial(k), g) for g in orders) == LABELLED_POSETS[k], k
-        extensions = [linear_extensions(masks) for _, masks, _, _ in level]
+        extensions = [linear_extensions(masks) for _, masks, _ in level]
         assert sum(Fraction(e, g) for e, g in zip(extensions, orders)) == LOWER_TRIANGULAR[k], k
 
 
@@ -322,7 +321,7 @@ KEPT_IDEAL, REJECTED_IDEAL = 0b0001101, 0b1000011
 def assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch):
     masks = PSEUDO_SIMILAR_PARENT
     packed = canonical_search(7, masks).packed
-    parent = (packed, masks, is_connected(PosetMatrix(masks, default_labels(7))), ())
+    parent = (packed, masks, ())
     records = [ParentSetup(packed, masks).search(s) for s in (KEPT_IDEAL, REJECTED_IDEAL)]
     assert records[0].packed == records[1].packed
     assert [r.labelling[-1] for r in records] == [7, 5]
@@ -379,10 +378,10 @@ def test_orbit_skips_change_no_oracle_level(monkeypatch):
         monkeypatch.setattr(enumeration, "_in_canonical_positions", lambda record: ())
         every_ideal = enumeration._oracle_levels(7, chunk_map)
     # With no generators every ideal of a parent is topped, and the ideals
-    # of one Aut-orbit each keep a child; the classes, rows and flags are
-    # those of the pruned levels, which hold each class once.
+    # of one Aut-orbit each keep a child; the classes and rows are those
+    # of the pruned levels, which hold each class once.
     for k, (level, unpruned) in enumerate(zip(pruned, every_ideal), 1):
-        assert {c[:3] for c in level} == {c[:3] for c in unpruned}, k
+        assert {c[:2] for c in level} == {c[:2] for c in unpruned}, k
         assert len(level) == len({c[0] for c in level}) == KNOWN_COUNTS[k][0], k
     assert len(every_ideal[-1]) > len(pruned[-1])
 
