@@ -53,6 +53,20 @@ MUTANTS = [
         "return len(_components(m.masks)) >= 1",
         "tests/test_core.py",
     ),
+    # The oracle tops every ideal of a parent: no orbit skip.
+    (
+        "src/posetmat/enumeration.py",
+        "_ideal_orbit_leaders(masks, k, parent.whole.generators)",
+        "_ideal_orbit_leaders(masks, k, ())",
+        "tests/test_enumeration.py",
+    ),
+    # A parent whose search of its child over all of it branches still resumes that path.
+    (
+        "src/posetmat/canon.py",
+        "self.path = path if all(a[0] < b[0] for a, b in zip(path, path[1:])) else None",
+        "self.path = path",
+        "tests/test_enumeration.py",
+    ),
     # Every catalog entry reads as connected.
     (
         "src/posetmat/enumeration.py",

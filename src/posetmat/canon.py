@@ -140,11 +140,16 @@ and the automorphisms it met, so no caller searches twice:
   previous one, and those generate every reordering of a twin class.
 * `nodes` is the number of nodes opened.
 
-The oracle's generators span Aut(P) on every class to order 8.
-Evidence, by orbit counts: with G(P) the group they span and e(P) the
-number of linear extensions of P, the sums over the classes of order n
-of n!/|G(P)| and of e(P)/|G(P)| equal the labelled posets (OEIS A001035)
-and the lower-triangular poset matrices (A006455) for n = 1 to 8.
+The oracle reads the generators of each representative P off the one
+search of P's child over all of P that `ParentSetup` runs (below).  That
+child's top element is fixed by every automorphism, so its group is
+Aut(P), in P's own positions.  Those generators span Aut(P) on every
+class to order 8.  Evidence, by orbit counts at every level of the
+oracle, orders 1 to 8 (7 in tier-1, 8 under `-m slow`): with G(P) the
+group they span and e(P) the number of linear extensions of P, the sums
+over the classes of order n of n!/|G(P)| and of e(P)/|G(P)| equal the
+labelled posets (OEIS A001035) and the lower-triangular poset matrices
+(A006455) for n = 1 to 8.
 Aut(P) acts freely on labellings and on linear extensions, so those are
 the sums under Aut(P), and each term under its subgroup G(P) is at least
 its term under Aut(P): so G(P) = Aut(P) for every class.  (On orders 1

@@ -147,6 +147,8 @@ def validate_axioms(candidate: Sequence[Sequence[int]]) -> ValidationReport:
 
 def _order_axioms_hold(masks: Masks, labels: Sequence[str] | None) -> tuple[tuple[str, ...], ValidationReport]:
     """Coerced labels and report of candidate row masks; raises unless the axioms hold."""
+    if not masks:
+        raise MalformedMatrixError("order 0 matrix rejected; need at least one element")
     labs = _coerce_labels(len(masks), labels)
     report = validate_masks(masks)
     if not report.ok:
@@ -218,7 +220,7 @@ class PosetMatrix:
 
     @staticmethod
     def from_masks(masks: Masks, labels: Sequence[str] | None = None) -> "PosetMatrix":
-        """`from_rows` on row masks, which are trusted to be n >= 1 ints below 2**n."""
+        """`from_rows` on row masks, which are trusted to be n ints below 2**n."""
         labs, report = _order_axioms_hold(masks, labels)
         if not report.lower_triangular_ok:
             raise StorageOrderError(

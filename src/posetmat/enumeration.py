@@ -28,10 +28,12 @@ Two independent routes:
   automorphism of R taking one ideal onto the other: they are one
   leader.  This reads the generators as spanning Aut(C) and Aut(R); they
   do to order 8, which the tests check by orbit counts (see canon).
-  Each kept class carries the automorphisms its search found, moved into
-  canonical positions through the search's labelling.
+  R's generators are those of its own search of the child over all of
+  R, which its set-up runs once to resume the other children's searches
+  (see canon).  That child's one top element k is fixed by every
+  automorphism, so its group is Aut(R), in R's own positions.
 
-  Each kept class also carries its rows, so no level decodes a key: a
+  Each kept class carries its rows, so no level decodes a key: a
   kept child C has R as its canonical parent, so rows 0..k-1 of C's
   canonical matrix are R's (see canon), and only its last row is read
   from C's key.
@@ -71,9 +73,7 @@ from typing import Mapping, Sequence
 
 from .canon import (
     CanonicalKey,
-    Generators,
     ParentSetup,
-    SearchRecord,
     _orbit,
     _row_mask,
     canonical_form,
@@ -215,7 +215,7 @@ def _catalog(
     return ClassCatalog(order, entries, invalid)
 
 
-def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list[int]:
+def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """The first ideal, in `_ideals` order, of each orbit of the ideals under `gens`."""
     ideals = _ideals(masks, k)
     if not gens:
@@ -242,32 +242,31 @@ def _ideal_orbit_leaders(masks: Sequence[int], k: int, gens: Generators) -> list
     return leaders
 
 
-# A class of an oracle level: its packed key, the row masks of its canonical
-# matrix, and generators of automorphisms of that matrix (none on the last
-# level).
-Representative = tuple[int, Masks, Generators]
+# A class of an oracle level: its packed key and the row masks of its
+# canonical matrix.  As a parent, its generators come from its set-up's
+# search of its child over all of it (see above).
+Representative = tuple[int, Masks]
 
 
-def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Representative]:
+def _extend_chunk(args: tuple[list[Representative], int]) -> list[Representative]:
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
     Each parent is set up for the search once.  It tops its
-    representative with one ideal per orbit of its generators and keeps
-    the child that passes both tests (see above): the bounded search
-    accepts it, and k lies in the orbit of the child's canonical last
-    element under its record's generators, twin swaps included, which
-    span Aut(child) (see canon).  A kept child's rows are the parent's
-    plus its canonical last row.  Its generators are its search's, moved
-    into canonical positions, or none when `last` says no level follows.
+    representative with one ideal per orbit of the generators of its
+    child over all of it, `whole` (see above), and keeps the child that
+    passes both tests: the bounded search accepts it, and k lies in the
+    orbit of the child's canonical last element under its record's
+    generators, twin swaps included, which span Aut(child) (see canon).
+    A kept child's rows are the parent's plus its canonical last row.
     """
-    parents, k, last = args
+    parents, k = args
     last_row = (1 << (k + 1)) - 1
     kept: list[Representative] = []
-    for packed, masks, gens in parents:
+    for packed, masks in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         parent = ParentSetup(packed, masks)
-        for s in _ideal_orbit_leaders(masks, k, gens):
+        for s in _ideal_orbit_leaders(masks, k, parent.whole.generators):
             record = parent.search(s)
             if record is None:
                 continue  # R is not the child's canonical parent
@@ -275,30 +274,22 @@ def _extend_chunk(args: tuple[list[Representative], int, bool]) -> list[Represen
             if x != k and not _orbit(1 << x, record.generators) >> k & 1:
                 continue  # no automorphism of the child maps its canonical last element to k
             row = _row_mask(k + 1, record.packed & last_row)
-            kept.append((record.packed, masks + (row,), () if last else _in_canonical_positions(record)))
+            kept.append((record.packed, masks + (row,)))
     return kept
-
-
-def _in_canonical_positions(record: SearchRecord) -> Generators:
-    """The record's generators as maps on canonical positions, through its labelling."""
-    where = [0] * len(record.labelling)
-    for p, e in enumerate(record.labelling):
-        where[e] = p
-    return tuple(tuple(where[g[e]] for e in record.labelling) for g in record.generators)
 
 
 def _oracle_levels(n: int, chunk_map: _ChunkMap) -> list[list[Representative]]:
     """The classes of orders 1..n, one level per order, each built from the level before."""
-    levels: list[list[Representative]] = [[(1, (1,), ())]]  # the one-element poset; it packs to 1
+    levels: list[list[Representative]] = [[(1, (1,))]]  # the one-element poset; it packs to 1
     for k in range(1, n):
-        levels.append([child for chunk in chunk_map(_extend_chunk, levels[-1], k, k + 1 == n) for child in chunk])
+        levels.append([child for chunk in chunk_map(_extend_chunk, levels[-1], k) for child in chunk])
     return levels
 
 
 def _oracle_catalog(order: int, level: list[Representative]) -> ClassCatalog:
     """The catalog of one oracle level, sorted by key, with the level's rows."""
     labels = default_labels(order)
-    return _catalog(order, {packed: (None, PosetMatrix(masks, labels)) for packed, masks, _ in level})
+    return _catalog(order, {packed: (None, PosetMatrix(masks, labels)) for packed, masks in level})
 
 
 def enumerate_oracle(n: int, workers: int = 1) -> ClassCatalog:

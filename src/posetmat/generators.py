@@ -15,16 +15,12 @@ from .core import PosetMatrix, Rows
 
 def chain(n: int) -> PosetMatrix:
     """Total order on n elements."""
-    return PosetMatrix.from_rows(
-        tuple(tuple(1 if z <= y else 0 for z in range(n)) for y in range(n))
-    )
+    return PosetMatrix.from_masks(tuple((2 << y) - 1 for y in range(n)))
 
 
 def antichain(n: int) -> PosetMatrix:
     """n pairwise incomparable elements (identity matrix)."""
-    return PosetMatrix.from_rows(
-        tuple(tuple(1 if z == y else 0 for z in range(n)) for y in range(n))
-    )
+    return PosetMatrix.from_masks(tuple(1 << y for y in range(n)))
 
 
 C2 = chain(2)

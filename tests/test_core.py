@@ -108,6 +108,12 @@ def test_malformed_shapes_rejected(rows):
         validate_axioms(rows)
 
 
+@pytest.mark.parametrize("build, arg", [(chain, 0), (antichain, 0), (PosetMatrix.from_masks, ())])
+def test_order_0_is_refused_from_masks_too(build, arg):
+    with pytest.raises(MalformedMatrixError, match="order 0"):
+        build(arg)
+
+
 def test_from_rows_rejects_axiom_violation_with_report():
     with pytest.raises(InvalidPosetError) as exc:
         PosetMatrix.from_rows(((1, 0, 0), (1, 1, 0), (0, 1, 1)))

@@ -112,21 +112,25 @@ def test_oracle_worker_counts_agree():
     assert enumerate_oracle(5, workers=2).entries == enumerate_oracle(5).entries
 
 
+def oracle_levels(n):
+    """The oracle's levels of orders 1..n, in one process."""
+    with enumeration._ChunkMap(1) as chunk_map:
+        return enumeration._oracle_levels(n, chunk_map)
+
+
 def assert_oracle_levels_hold_each_class_once(n):
     levels = {}
     for workers in (1, 2):
         with enumeration._ChunkMap(workers) as chunk_map:
             levels[workers] = enumeration._oracle_levels(n, chunk_map)
     for k, level in enumerate(levels[1], 1):
-        assert len(level) == len({packed for packed, _, _ in level}) == KNOWN_COUNTS[k][0]
+        assert len(level) == len({packed for packed, _ in level}) == KNOWN_COUNTS[k][0]
     assert [sorted(level) for level in levels[1]] == [sorted(level) for level in levels[2]]
 
 
 def assert_oracle_levels_carry_each_class_rows(n):
-    with enumeration._ChunkMap(1) as chunk_map:
-        levels = enumeration._oracle_levels(n, chunk_map)
-    for k, level in enumerate(levels, 1):
-        for packed, masks, _ in level:
+    for k, level in enumerate(oracle_levels(n), 1):
+        for packed, masks in level:
             assert masks == CanonicalKey(k, packed).matrix().masks, (k, packed)
 
 
@@ -150,14 +154,13 @@ def test_oracle_levels_hold_each_class_once_order8():
 
 @pytest.mark.slow
 def test_oracle_order9_last_level():
-    with enumeration._ChunkMap(1) as chunk_map:
-        last = enumeration._oracle_levels(9, chunk_map)[-1]
-    keys = [packed for packed, _, _ in last]
+    last = oracle_levels(9)[-1]
+    keys = [packed for packed, _ in last]
     assert len(keys) == len(set(keys)) == KNOWN_COUNTS[9][0] == 183_231
     labels = default_labels(9)
-    assert sum(is_connected(PosetMatrix(masks, labels)) for _, masks, _ in last) == KNOWN_COUNTS[9][1] == 163_341
+    assert sum(is_connected(PosetMatrix(masks, labels)) for _, masks in last) == KNOWN_COUNTS[9][1] == 163_341
     # The carried rows are those of the decoded matrices.
-    assert all(masks == CanonicalKey(9, packed).matrix().masks for packed, masks, _ in last)
+    assert all(masks == CanonicalKey(9, packed).matrix().masks for packed, masks in last)
 
 
 def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
@@ -183,24 +186,16 @@ def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
     assert topped == searches == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
 
 
-def oracle_levels_with_generators(n):
-    """The oracle's levels of orders 1..n, each class with the generators `_extend_chunk` finds for it."""
-    levels = [[(1, (1,), ())]]
-    for k in range(1, n):
-        levels.append(enumeration._extend_chunk((levels[-1], k, False)))
-    return levels
-
-
 def oracle_candidates(n):
     """(parent key, parent set-up, ideal) for each candidate of orders 2..n.
 
-    The candidates are those the oracle tops: each level's parents carry
-    the generators that `_extend_chunk` found for them.
+    The candidates are those the oracle tops: one ideal of each parent per
+    orbit of the generators of its child over all of it.
     """
-    for k, parents in enumerate(oracle_levels_with_generators(n - 1), 1):
-        for packed, masks, gens in parents:
+    for k, parents in enumerate(oracle_levels(n - 1), 1):
+        for packed, masks in parents:
             parent = ParentSetup(packed, masks)
-            for s in enumeration._ideal_orbit_leaders(masks, k, gens):
+            for s in enumeration._ideal_orbit_leaders(masks, k, parent.whole.generators):
                 yield packed, parent, s
 
 
@@ -236,10 +231,8 @@ def assert_child_search_is_the_fresh_search(packed, parent, s):
 
 def assert_resumed_search_is_the_search_from_the_root(n):
     """Compare the child search over every ideal of every representative of orders 1..n with a fresh one."""
-    with enumeration._ChunkMap(1) as chunk_map:
-        levels = enumeration._oracle_levels(n, chunk_map)
-    for k, level in enumerate(levels, 1):
-        for packed, masks, _ in level:
+    for k, level in enumerate(oracle_levels(n), 1):
+        for packed, masks in level:
             parent = ParentSetup(packed, masks)
             for s in ideals(masks, k):
                 assert_child_search_is_the_fresh_search(packed, parent, s)
@@ -291,15 +284,21 @@ LOWER_TRIANGULAR = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357, 6: 4_824, 7: 96_428, 8: 2_8
 def assert_generators_span_every_automorphism_group(n):
     """Orbit counts with the group G(P) the oracle's generators span give both sequences.
 
-    The class of P holds n!/|Aut(P)| labelled posets and e(P)/|Aut(P)|
+    The oracle reads P's generators off its set-up's search of the child
+    over all of P, and each maps that child's top element k to k.  The
+    class of P holds n!/|Aut(P)| labelled posets and e(P)/|Aut(P)|
     lower-triangular matrices.  Each term with G(P), a subgroup of Aut(P),
     is at least its term with Aut(P), so equal sums mean G(P) = Aut(P)
     for every class (see canon).
     """
-    for k, level in enumerate(oracle_levels_with_generators(n), 1):
-        orders = [group_order(k, gens) for _, _, gens in level]
+    for k, level in enumerate(oracle_levels(n), 1):
+        orders = []
+        for packed, masks in level:
+            gens = ParentSetup(packed, masks).whole.generators
+            assert all(g[k] == k for g in gens), (k, packed)
+            orders.append(group_order(k, [g[:k] for g in gens]))
         assert sum(Fraction(math.factorial(k), g) for g in orders) == LABELLED_POSETS[k], k
-        extensions = [linear_extensions(masks) for _, masks, _ in level]
+        extensions = [linear_extensions(masks) for _, masks in level]
         assert sum(Fraction(e, g) for e, g in zip(extensions, orders)) == LOWER_TRIANGULAR[k], k
 
 
@@ -321,17 +320,16 @@ KEPT_IDEAL, REJECTED_IDEAL = 0b0001101, 0b1000011
 def assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch):
     masks = PSEUDO_SIMILAR_PARENT
     packed = canonical_search(7, masks).packed
-    parent = (packed, masks, ())
+    parent = (packed, masks)
     records = [ParentSetup(packed, masks).search(s) for s in (KEPT_IDEAL, REJECTED_IDEAL)]
     assert records[0].packed == records[1].packed
     assert [r.labelling[-1] for r in records] == [7, 5]
     # The parent topped over these ideals alone, in either order: the class is kept once, from KEPT_IDEAL.
     for topped in ([KEPT_IDEAL, REJECTED_IDEAL], [REJECTED_IDEAL, KEPT_IDEAL], [KEPT_IDEAL], [REJECTED_IDEAL]):
         monkeypatch.setattr(enumeration, "_ideal_orbit_leaders", lambda masks, k, gens: topped)
-        for last in (True, False):
-            kept = enumeration._extend_chunk(([parent], 7, last))
-            expected = [records[0].packed] if KEPT_IDEAL in topped else []
-            assert [child[0] for child in kept] == expected, (topped, last)
+        kept = enumeration._extend_chunk(([parent], 7))
+        expected = [records[0].packed] if KEPT_IDEAL in topped else []
+        assert [child[0] for child in kept] == expected, topped
 
 
 def test_the_second_test_keeps_one_pseudo_similar_child(monkeypatch):
@@ -366,8 +364,8 @@ def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points(monkeypatch):
     assert automorphism_orbits(masks + (s | 1 << 7,)) == [1 << x for x in range(8)]
     # Topped over all its ideals, the parent keeps the class once; topped
     # over the two alone, it keeps the first child and rejects the second.
-    parent = next(c for c in oracle_levels_with_generators(7)[-1] if c[1] == masks)
-    kept = [c[0] for c in enumeration._extend_chunk(([parent], 7, True))]
+    parent = next(c for c in oracle_levels(7)[-1] if c[1] == masks)
+    kept = [c[0] for c in enumeration._extend_chunk(([parent], 7))]
     assert len(kept) == len(set(kept)) and one.packed in kept
     assert_the_second_test_keeps_one_pseudo_similar_child(monkeypatch)
 
@@ -375,13 +373,13 @@ def test_the_order8_duplicate_is_a_pair_of_pseudo_similar_points(monkeypatch):
 def test_orbit_skips_change_no_oracle_level(monkeypatch):
     with enumeration._ChunkMap(1) as chunk_map:
         pruned = enumeration._oracle_levels(7, chunk_map)
-        monkeypatch.setattr(enumeration, "_in_canonical_positions", lambda record: ())
+        monkeypatch.setattr(enumeration, "_ideal_orbit_leaders", lambda masks, k, gens: _ideals(masks, k))
         every_ideal = enumeration._oracle_levels(7, chunk_map)
-    # With no generators every ideal of a parent is topped, and the ideals
+    # With no orbit skip every ideal of a parent is topped, and the ideals
     # of one Aut-orbit each keep a child; the classes and rows are those
     # of the pruned levels, which hold each class once.
     for k, (level, unpruned) in enumerate(zip(pruned, every_ideal), 1):
-        assert {c[:2] for c in level} == {c[:2] for c in unpruned}, k
+        assert set(level) == set(unpruned), k
         assert len(level) == len({c[0] for c in level}) == KNOWN_COUNTS[k][0], k
     assert len(every_ideal[-1]) > len(pruned[-1])
 
