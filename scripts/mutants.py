@@ -60,11 +60,25 @@ MUTANTS = [
         "_ideal_orbit_leaders(masks, k, ())",
         "tests/test_enumeration.py",
     ),
-    # A parent whose search of its child over all of it branches still resumes that path.
+    # A parent whose search of its child over all of it branches still replays that path.
     (
         "src/posetmat/canon.py",
-        "self.path = path if all(a[0] < b[0] for a, b in zip(path, path[1:])) else None",
-        "self.path = path",
+        "if all(a[0] < b[0] for a, b in zip(path, path[1:])):",
+        "if True:",
+        "tests/test_enumeration.py",
+    ),
+    # The replay keeps a child whose own block ties with the path's, where it must search it.
+    (
+        "src/posetmat/canon.py",
+        "return 0 if row < bound else None",
+        "return 0 if row < bound else row",
+        "tests/test_enumeration.py",
+    ),
+    # The replay keeps every child whose k joins a block of R, not only the one over the last block.
+    (
+        "src/posetmat/canon.py",
+        "self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0",
+        "self.bound[d] ^ 1 << (k - d) | 1",
         "tests/test_enumeration.py",
     ),
     # Every catalog entry reads as connected.

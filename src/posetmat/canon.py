@@ -171,17 +171,17 @@ block joins `above[y]` for each y in s.  These are the tables of a fresh
 set-up of the child, so the search returns the same record.  The search
 only reads the tables, so children share what they do not change.
 
-Resuming the parent's path.  The searches of R's children agree until
+Replaying the parent's path.  The searches of R's children agree until
 the child's ideal s is placed.  Before that, k's block is unavailable:
 k opens a block with down-set s, or joins the block of R with down-set
 s, and either needs s placed.  So a node with s unplaced has R's blocks
 available, with the same rows in every child, since a row reads only
 the node's cells and the fixed elements of R's down-sets.  A block of R
-lies in positions 0..k-1, so no comparison before s is placed reads a
-position >= k.  A best row below k is a bound row, fixed for the whole
-search, since lowering one ends it with None.  So only the fixed bound
-rows decide there.  Orbit skips need found automorphisms, and every
-automorphism is found at a second leaf.
+lies in positions 0..k-1, so no comparison of one reads a position >= k.
+A best row below k is a bound row, fixed for the whole search, since
+lowering one ends it with None.  So only the fixed bound rows decide
+there.  Orbit skips need found automorphisms, and every automorphism is
+found at a second leaf.
 
 `ParentSetup` searches the child over all of R, s = R, once from the
 root, and records each node.  That child is accepted: k is above every
@@ -189,28 +189,58 @@ element, so it comes last in every linear extension, and its least rows
 are R's plus a full last row.  Its block on {k} is last and alone, so
 every leaf lies below the node that has placed R.  If the search visits
 its nodes in strictly increasing depth, it is a single path down to one
-leaf.  So it found no automorphism, and at each node every block after
-the one it followed was cut by the bound rows: another block within the
+leaf.  So it found no automorphism, and at each node every block but the
+one it followed was cut by the bound rows: another block within the
 bound would have been searched, at a node no deeper than the one left.
+The followed block's rows are the bound rows.
 
-Take a child over s and the first recorded node whose placed set holds
-s.  At every node before it s is unplaced, so the child's search follows
-the same block there and cuts every other one by the same bound rows,
-whatever the subtree below returns (a skip by an orbit, which the child
-may also make, is a cut too).  So it reaches that node with the recorded
-cells, `acc`, fixed elements and trail, and runs unchanged from there;
-unwinding never passes that node, since two leaves below it share the
-path to it.  `ParentSetup.search` therefore starts at that node, with
-`nodes` counting the nodes skipped, and returns the record a search from
-the root returns.  The recorded `acc` loses the entry of the block over
-all of R; if k opens its own block, that block sits at the same index,
-and its entry keeps the bits of the fixed members of s only.  `chosen`
-starts as the recorded leaf's labelling: it places each fixed element
-where the node does, and a leaf reads no other position before the
-search sets it again.  A parent whose recorded search branches searches
-each child from the root.  Either way the child over all of R is one
-the oracle searches (every automorphism fixes R), and `search` returns
-the recorded record for it.
+In the child over s, every block of R at a recorded node has the rows it
+has in the child over all of R, and meets the same bound rows.  So the
+child's search follows the recorded path for as long as k's block is cut
+at each node, and cuts every other block of R on the way, whatever the
+subtree below returns.  `ParentSetup.replay` decides the child from the
+rows of k's block alone, with no search, in two cases:
+
+* k joins R's block B, with down-set s, which the path follows at depth
+  d.  At every earlier node that has placed s, B is cut at a position
+  before its end, and the child's block B + k has the same rows there.
+  At depth d it has B's rows, the bound rows d..e-1 with e = d + |B|,
+  then k's row at e: B's row with its diagonal bit moved from d to e, r.
+  If e = k, B + k is the last block, and its leaf ends the search with
+  R's rows and r last, since every block left above it is cut as
+  before; the leaf orders the cell B + k by index, so k comes last.
+  Otherwise r < bound[e], and the search stops there with None.  Let A
+  be the block the path follows at depth e, so bound[e] is its row
+  there.  A split only moves a down-set's members in a cell from its
+  last columns to earlier ones, so a block's row never falls as the path
+  goes down.  If A was available at depth d, its row there was at least
+  B's, or the search of the child over all of R would have stopped.
+  Were A's row at d equal to B's and unchanged at e, A would match the
+  bound rows at depth d (rows d..e-1 are B's, the next are A's) and be
+  searched there too, which a single path does not do.  So bound[e] > r.
+  If A was not available at d, it is above a member of B, so its
+  down-set holds s and a member of B.  Its row at e then holds every
+  column of s, which B's row at d already names (placing B splits each
+  cell so that s takes its last columns), plus a column in d..e-1,
+  before e.
+* k opens its own block {k}, with down-set s, after all of R's.  From
+  the first recorded node that has placed s, its row there is the
+  columns of the fixed members of s plus, in each open cell, its count
+  of members of s packed at the cell's end, and its diagonal bit at the
+  node's depth.  Below that depth's bound row, {k} sorts before the
+  path's block and the search stops there with None.  Above it, {k} is
+  cut and the path goes on to the next node.  Equal to it, {k} ties with
+  the path's block and both are searched.  At depth k, R is placed and
+  {k} is the last block: its leaf ends the search with R's rows and that
+  row last, and k last.
+
+Either way a kept child places k last, so it passes McKay's second test
+(see enumeration) at once, and its key is R's rows, each widened by the
+empty last column, followed by its last row.  A child the replay leaves
+to the search, and every child of a parent whose recorded search
+branches, is searched from the root.  The child over all of R is one the
+oracle tops (every automorphism fixes R), and `search` returns the
+recorded record for it.
 
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
@@ -359,9 +389,10 @@ class ParentSetup:
     """A canonical representative R of order k, set up once for the searches of its children.
 
     A child tops R with a new element k over an ideal s of R.  Its blocks
-    and `above` lists are R's, extended by that one element (see above),
-    and `search(s)` runs the bounded search on them, resumed on R's path
-    when R has one (see above).  `packed` is R's key and `masks` its rows.
+    and `above` lists are R's, extended by that one element (see above).
+    `replay(s)` decides the child off R's recorded path when it can, and
+    `search(s)` runs the bounded search on those tables from the root
+    (see above).  `packed` is R's key and `masks` its rows.
     """
 
     def __init__(self, packed: int, masks: Masks) -> None:
@@ -373,11 +404,24 @@ class ParentSetup:
         self.above = _above(k + 1, self.blocks)  # the new element is in no down-set
         self.opened = [a + [len(self.blocks)] for a in self.above]  # the same, once k opens a block over x
         # The child over all of R, searched from the root and recorded node
-        # by node; the path is kept only if it is one path.
+        # by node; the replay reads the path only if it is one path.
         path: list[tuple[int, int, list[tuple[int, int, int]], list[int]]] = []
-        self.whole = _search(k + 1, *self.setup((1 << k) - 1), self.bound, None, path)
-        self.path = path if all(a[0] < b[0] for a, b in zip(path, path[1:])) else None
-        self.trail = [(a[0], b[1] ^ a[1]) for a, b in zip(path, path[1:])]  # (depth, block placed) per node
+        self.whole = _search(k + 1, *self.setup((1 << k) - 1), self.bound, path)
+        self.path = None
+        if all(a[0] < b[0] for a, b in zip(path, path[1:])):
+            # Each node's depth, placed set, cells and the output columns of
+            # its fixed elements: the `acc` entry of the block on {k}.
+            self.path = [(depth, placed, cells, acc[-1]) for depth, placed, cells, acc in path]
+            self.column = [0] * k  # the output column bit of each element of R
+            for p, x in enumerate(self.whole.labelling[:k]):
+                self.column[x] = 1 << (k - p)
+            # The replay of a child whose k joins a block of R, by its
+            # down-set: the block is followed at depth d and ends at e.
+            # Only the block that ends at k keeps its child.
+            self.joined: dict[int, int] = {}
+            for (d, placed, _, _), (e, after, _, _) in zip(path, path[1:]):
+                x = ((after ^ placed) & -(after ^ placed)).bit_length() - 1
+                self.joined[masks[x] ^ 1 << x] = self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0
 
     def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
         """The child's blocks and `above` lists: k joins the block with down-set s, or opens one last."""
@@ -389,38 +433,43 @@ class ParentSetup:
         above = [self.opened[x] if s >> x & 1 else xs for x, xs in enumerate(self.above)]
         return self.blocks + [(s, 1 << self.k)], above
 
-    def start(self, s: int) -> tuple | None:
-        """Where the child over s resumes R's path, as `_search` takes it; None to search from the root.
+    def replay(self, s: int) -> int | None:
+        """The child over s decided off R's path (see above), or None when it must be searched.
 
-        The last item is the count of path nodes skipped.
+        A kept child's last packed row, or 0 for a rejected one.  A kept
+        child places k last, so it passes McKay's second test too.
         """
         if self.path is None:
             return None
-        i = 0
-        while s & ~self.path[i][1]:
-            i += 1
-        depth, placed, cells, acc = self.path[i]
-        acc = acc.copy()
-        if s in self.index:
-            acc.pop()  # k joins a block of R; the child has no block over all of R
-        else:
-            # k opens the last block, as the child over all of R does, over s
-            # only: its row has the bits of the fixed members of s.
-            n = self.k + 1
-            rest = acc[-1]
-            while rest:
-                low = rest & -rest
-                if not s >> self.whole.labelling[n - low.bit_length()] & 1:
-                    acc[-1] ^= low
-                rest ^= low
-        return depth, placed, cells, acc, list(self.whole.labelling), self.trail[:i], i
+        if s in self.joined:
+            return self.joined[s]
+        k = self.k
+        at = 0  # the output columns of the members of s, once fixed
+        rest = s
+        while rest:
+            low = rest & -rest
+            at |= self.column[low.bit_length() - 1]
+            rest ^= low
+        for depth, placed, cells, fixed in self.path:
+            if s & ~placed:
+                continue  # k's block is not available before s is placed
+            row = fixed & at | 1 << (k - depth)
+            for _, cell, shift in cells:
+                inner = (cell & s).bit_count()
+                if inner:
+                    row |= ((1 << inner) - 1) << shift
+            if depth == k:
+                return row  # k is placed last
+            bound = self.bound[depth]
+            if row <= bound:
+                return 0 if row < bound else None  # below R's row: rejected; a tie: search it
+        return None  # not reached: the path ends at depth k
 
     def search(self, s: int) -> SearchRecord | None:
         """`canonical_search` of the child bounded by R."""
         if s == (1 << self.k) - 1:
             return self.whole
-        blocks, above = self.setup(s)
-        return _search(self.k + 1, blocks, above, self.bound, self.start(s))
+        return _search(self.k + 1, *self.setup(s), self.bound)
 
 
 def _search(
@@ -428,7 +477,6 @@ def _search(
     blocks: list[Block],
     above: list[list[int]],
     bound: list[int],
-    start: tuple | None = None,
     path: list | None = None,
 ) -> SearchRecord | None:
     """The search body, on set-up blocks and `above` lists; `bound` pre-fills the first best rows.
@@ -436,12 +484,10 @@ def _search(
     A row below one of the `bound` rows ends the search with None.
     A node at depth k has placed output positions 0..k-1, as its open
     cells (first position, members, n - end position) and the elements
-    it has fixed in `chosen`.  The search starts at the root, or at
-    `start` = (depth, placed, cells, acc, chosen, trail, nodes before it)
-    from `ParentSetup.start`.  `path`, if given, receives (depth, placed,
+    it has fixed in `chosen`.  `path`, if given, receives (depth, placed,
     cells, acc) of every node, in visiting order.
 
-    The open nodes form a stack, the first node at the bottom.  Each
+    The open nodes form a stack, the root at the bottom.  Each
     entry holds the node's depth, placed elements, cells and `acc`, an
     iterator over its blocks in order of row, the count of automorphisms
     found before it opened, and the orbit of the blocks it has searched
@@ -454,13 +500,11 @@ def _search(
     sentinel = 1 << (n + 1)
     bounded = len(bound)
     best = bound + [sentinel] * (n - bounded)
-    if start is None:
-        start = 0, 0, [], [0] * len(blocks), [0] * n, [], 0
     # chosen[p]: the element at position p, once fixed;
     # acc[b]: output-row bits of the fixed part of block b's down-set;
     # trail: (depth, block) of each node on the path to the deepest one;
     # a leaf adds no entry, since its node has only the one block.
-    k, placed, cells, acc, chosen, trail, nodes = start
+    k, placed, cells, acc, chosen, trail, nodes = 0, 0, [], [0] * len(blocks), [0] * n, [], 0
     autos: list[tuple[int, ...]] = []  # automorphisms found, as maps gamma[x]
     held: list[int] = []  # the leaf whose rows are `best`; empty once best is lowered
     held_trail: list[tuple[int, int]] = []  # the trail of the held leaf
@@ -557,8 +601,8 @@ def _search(
             break
         if opening:
             continue
-        if to < stack[0][0]:
-            break  # the first node is closed
+        if to < 0:
+            break  # the root is closed
         while stack[-1][0] > to:
             stack.pop()
             block = trail.pop()[1]
@@ -591,8 +635,9 @@ def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
 
 
 # Distinct matrices seen: 4,554 by the composition closure to order 7 and
-# 2,114 by a stream of 3,000 mixed library requests, so neither evicts; the
-# bound caps the memory of long-lived processes.  Only the packed key and
+# 1,614 to 1,636 by a stream of 3,000 mixed library requests (seeds 1 to 3
+# of `perfbench/reqgen.py`), so neither evicts; the bound caps the memory of
+# long-lived processes.  Only the packed key and
 # the record's generators are kept: `canonical_form`, `are_isomorphic` and
 # `CanonicalKey.parse` read the key, `position_orbits` the generators.  A
 # rigid matrix shares one empty tuple, so its entry costs little more than

@@ -163,27 +163,49 @@ def test_oracle_order9_last_level():
     assert all(masks == CanonicalKey(9, packed).matrix().masks for packed, masks in last)
 
 
-def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
-    topped = {}
-    searches = {}
+def oracle_work(monkeypatch, n):
+    """(topped, decided, searched) children by order, 2..n: decided by the replay, searched from the root."""
+    topped, decided, searched = ({k: 0 for k in range(2, n + 1)} for _ in range(3))
     leaders = enumeration._ideal_orbit_leaders
+    replay = ParentSetup.replay
     search = ParentSetup.search
 
     def counting_leaders(masks, k, gens):
         found = leaders(masks, k, gens)
-        topped[k + 1] = topped.get(k + 1, 0) + len(found)
+        topped[k + 1] += len(found)
         return found
 
+    def counting_replay(parent, s):
+        row = replay(parent, s)
+        decided[parent.k + 1] += row is not None
+        return row
+
     def counting_search(parent, s):
-        searches[parent.k + 1] = searches.get(parent.k + 1, 0) + 1
+        searched[parent.k + 1] += 1
         return search(parent, s)
 
     monkeypatch.setattr(enumeration, "_ideal_orbit_leaders", counting_leaders)
+    monkeypatch.setattr(ParentSetup, "replay", counting_replay)
     monkeypatch.setattr(ParentSetup, "search", counting_search)
-    enumerate_oracle(7)
+    enumerate_oracle(n)
+    return topped, decided, searched
+
+
+def test_oracle_tops_each_parent_once_per_ideal_orbit(monkeypatch):
+    topped, decided, searched = oracle_work(monkeypatch, 7)
     # One ideal per Aut-orbit of the ideals of each parent, against 2, 7,
-    # 27, 126, 711 and 5,439 ideals, and every topped ideal is searched.
-    assert topped == searches == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+    # 27, 126, 711 and 5,439 ideals.  Every topped ideal is decided off the
+    # parent's path or searched: order 7 decides 2,892 of its 4,162.
+    assert topped == {2: 2, 3: 6, 4: 22, 5: 101, 6: 576, 7: 4162}
+    assert searched == {2: 0, 3: 0, 4: 1, 5: 13, 6: 125, 7: 1270}
+    assert all(topped[k] == decided[k] + searched[k] for k in topped)
+
+
+@pytest.mark.slow
+def test_oracle_work_order8(monkeypatch):
+    # Order 8 tops 38,280 children and searches 14,686 of them.
+    topped, decided, searched = oracle_work(monkeypatch, 8)
+    assert (topped[8], decided[8], searched[8]) == (38_280, 23_594, 14_686)
 
 
 def oracle_candidates(n):
@@ -229,36 +251,64 @@ def assert_child_search_is_the_fresh_search(packed, parent, s):
     assert parent.search(s) == fresh, (parent.masks, s)
 
 
-def assert_resumed_search_is_the_search_from_the_root(n):
-    """Compare the child search over every ideal of every representative of orders 1..n with a fresh one."""
+def assert_replay_is_the_search(parent, s):
+    """`parent.replay(s)`, when it decides, is the search of the child plus McKay's second test."""
+    row = parent.replay(s)
+    if row is None:
+        return
+    k = parent.k
+    record = parent.search(s)
+    if record is None:
+        assert row == 0, (parent.masks, s)
+        return
+    x = record.labelling[-1]
+    kept = x == k or canon._orbit(1 << x, record.generators) >> k & 1
+    assert row == (record.packed & (1 << k + 1) - 1 if kept else 0), (parent.masks, s)
+    if kept:
+        # The kept key is R's widened rows followed by the last row, and
+        # the kept rows are those of the decoded key.
+        prefix = 0
+        for bound_row in parent.bound:
+            prefix = (prefix | bound_row) << (k + 1)
+        assert prefix | row == record.packed, (parent.masks, s)
+        child = CanonicalKey(k + 1, record.packed).matrix().masks
+        assert parent.masks + (canon._row_mask(k + 1, row),) == child, (parent.masks, s)
+
+
+def assert_replay_decides_as_the_search(n):
+    """Compare the child search over every ideal of every representative of orders 1..n with a fresh one,
+    and the replay's decision, where it makes one, with the search's."""
     for k, level in enumerate(oracle_levels(n), 1):
         for packed, masks in level:
             parent = ParentSetup(packed, masks)
             for s in ideals(masks, k):
                 assert_child_search_is_the_fresh_search(packed, parent, s)
+                assert_replay_is_the_search(parent, s)
 
 
-def test_resumed_search_is_the_search_from_the_root():
-    assert_resumed_search_is_the_search_from_the_root(6)
+def test_replay_decides_as_the_search():
+    assert_replay_decides_as_the_search(6)
 
 
 @pytest.mark.slow
-def test_resumed_search_is_the_search_from_the_root_order7():
-    assert_resumed_search_is_the_search_from_the_root(7)
+def test_replay_decides_as_the_search_order7():
+    assert_replay_decides_as_the_search(7)
 
 
-def test_most_parents_resume_their_path():
-    single = skipped = 0
+def test_most_parents_replay_their_path():
+    single = replayed = decided = 0
     parents = set()
     for packed, parent, s in oracle_candidates(7):
         if packed not in parents:
             parents.add(packed)
             single += parent.path is not None
-        if parent.path is not None:
-            skipped += parent.start(s)[-1]
+        replayed += parent.path is not None
+        decided += parent.replay(s) is not None
     # Of the 405 parents of orders 1 to 6, 329 search their child over all
-    # of R on one path; their children skip 7,644 nodes of it.
-    assert (len(parents), single, skipped) == (405, 329, 7644)
+    # of R on one path.  The oracle tops 3,841 children over them, and the
+    # replay decides 3,460 of those; the 1,028 children of the other 76
+    # parents are all searched.
+    assert (len(parents), single, replayed, decided) == (405, 329, 3841, 3460)
 
 
 def test_a_parent_whose_path_branches_searches_from_the_root():
@@ -271,7 +321,7 @@ def test_a_parent_whose_path_branches_searches_from_the_root():
     parent = ParentSetup(packed, masks)
     assert parent.path is None
     for s in ideals(masks, 5):
-        assert parent.start(s) is None
+        assert parent.replay(s) is None  # the replay decides none of its children
         assert_child_search_is_the_fresh_search(packed, parent, s)
 
 
