@@ -97,10 +97,8 @@ def _provenance_labels(a: PosetMatrix, d: int, b: PosetMatrix) -> tuple[str, ...
     return left + tuple(middle) + right
 
 
-def compose(
-    a: PosetMatrix, kind: CompositionKind, i: int, b: PosetMatrix, relabel: bool = False
-) -> CompositionResult:
-    """Replace position i (1-based) of `a` by `b` under the given kind."""
+def _assemble(a: PosetMatrix, kind: CompositionKind, i: int, b: PosetMatrix) -> Masks:
+    """The row masks of `a kind@i b`, unvalidated."""
     n, m = len(a.masks), len(b.masks)
     if not 1 <= i <= n:
         raise ValueError(f"position {i} out of range 1..{n}")
@@ -134,7 +132,14 @@ def compose(
             row |= v_kept if v_sel >> y & 1 else v_row
         out.append(row)
 
-    masks = tuple(out)
-    labels = default_labels(n + m - 1) if relabel else _provenance_labels(a, d, b)
+    return tuple(out)
+
+
+def compose(
+    a: PosetMatrix, kind: CompositionKind, i: int, b: PosetMatrix, relabel: bool = False
+) -> CompositionResult:
+    """Replace position i (1-based) of `a` by `b` under the given kind."""
+    masks = _assemble(a, kind, i, b)
+    labels = default_labels(len(masks)) if relabel else _provenance_labels(a, i - 1, b)
     return CompositionResult(masks, validate_masks(masks), labels)
 

@@ -51,11 +51,18 @@ element i of A, so the closure is the series-parallel posets, which are
 exactly the posets with no induced N (Valdes, Tarjan & Lawler, SIAM J.
 Comput. 1982; OEIS A003430).  `has_induced_n` tests for an N by
 bitmasks, so tests can check that identity against the oracle's classes.
+
+`composition_closure` closes C2 and I2 under all three kinds by the
+public `compose` and `canonical_form`, validating and keying every
+composition, where `posetmat.enumeration` validates and keys each
+distinct output once; tests require the two closures to agree entry for
+entry.
 """
 import re
 from typing import Iterator
 
 import posetmat
+from posetmat.canon import position_orbits
 from posetmat.core import ValidationReport
 from posetmat.enumeration import MAX_ORACLE_ORDER
 from posetmat.generators import GENERATORS
@@ -372,6 +379,46 @@ def square_closure(max_n: int) -> dict[int, dict[posetmat.CanonicalKey, posetmat
                     for i in range(1, a_order + 1):
                         m = posetmat.compose(a, posetmat.CompositionKind.SQUARE, i, b, relabel=True).poset()
                         level.setdefault(posetmat.canonical_form(m), m)
+    return levels
+
+
+def composition_closure(max_n: int) -> dict[int, posetmat.ClassCatalog]:
+    """The classes of orders 2..max_n reached from C2 and I2, composed one by one.
+
+    Each orbit leader position of each operand pair is composed by the
+    public `compose`, validated, and keyed by `canonical_form`, with no
+    memo of earlier outputs.  Recipes are chosen shortest first, ties to
+    the lexicographically smaller, and each class keeps its recipe's output.
+    """
+
+    def wrap(recipe: str) -> str:
+        return f"({recipe})" if " " in recipe else recipe
+
+    def catalog(order, best, invalid):
+        entries = {key: posetmat.CatalogEntry(m, recipe) for key, (recipe, m) in sorted(best.items())}
+        return posetmat.ClassCatalog(order, entries, invalid)
+
+    levels = {2: catalog(2, {posetmat.canonical_form(m): (r, m) for r, m in GENERATORS.items()}, 0)}
+    for n in range(3, max_n + 1):
+        best = {}
+        invalid = 0
+        for a_order in range(2, n):
+            for a in levels[a_order].entries.values():
+                for b in levels[n + 1 - a_order].entries.values():
+                    for kind in posetmat.CompositionKind:
+                        for orbit in position_orbits(a.representative):
+                            i = (orbit & -orbit).bit_length()
+                            result = posetmat.compose(a.representative, kind, i, b.representative, relabel=True)
+                            if not result.valid:
+                                invalid += bin(orbit).count("1")
+                                continue
+                            m = result.poset()
+                            key = posetmat.canonical_form(m)
+                            recipe = f"{wrap(a.recipe)} {kind.value}@{i} {wrap(b.recipe)}"
+                            held = best.get(key)
+                            if held is None or (len(recipe), recipe) < (len(held[0]), held[0]):
+                                best[key] = (recipe, m)
+        levels[n] = catalog(n, best, invalid)
     return levels
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from conftest import iter_all_posets
 from reference import (
     automorphism_orbits,
     catalog_from_packed,
+    composition_closure as reference_closure,
     group_order,
     has_induced_n,
     ideals,
@@ -566,6 +568,54 @@ def test_closure_table_through_order7(closure7):
         6: (315, 235, 62),
         7: (1960, 1568, 706),
     }
+
+
+def closure_entries(catalog):
+    return [
+        (key, e.recipe, e.representative.masks, e.representative.labels) for key, e in catalog.entries.items()
+    ], catalog.invalid_outputs
+
+
+def test_closure_is_the_reference_closure():
+    closure, reference = composition_closure(6), reference_closure(6)
+    assert closure.keys() == reference.keys()
+    for n in reference:
+        assert closure_entries(closure[n]) == closure_entries(reference[n]), n
+
+
+def test_closure_is_the_reference_closure_order7(closure7):
+    assert closure_entries(closure7[7]) == closure_entries(reference_closure(7)[7])
+
+
+def test_closure_validates_and_keys_each_distinct_output_once(monkeypatch):
+    composed, validated, invalid, keyed = Counter(), Counter(), Counter(), Counter()
+    assemble, validate, record = enumeration._assemble, enumeration.validate_masks, enumeration._canonical_record
+
+    def counting_assemble(*args):
+        masks = assemble(*args)
+        composed[len(masks)] += 1
+        return masks
+
+    def counting_validate(masks):
+        report = validate(masks)
+        validated[masks] += 1
+        invalid[len(masks)] += not report.ok
+        return report
+
+    def counting_record(masks):
+        keyed[masks] += 1
+        return record(masks)
+
+    monkeypatch.setattr(enumeration, "_assemble", counting_assemble)
+    monkeypatch.setattr(enumeration, "validate_masks", counting_validate)
+    monkeypatch.setattr(enumeration, "_canonical_record", counting_record)
+    composition_closure(7)
+    # Each distinct output is validated once, and keyed once when it is valid.
+    assert set(validated.values()) == set(keyed.values()) == {1}
+    assert keyed.keys() == {masks for masks in validated if validate(masks).ok}
+    assert composed == {3: 18, 4: 111, 5: 591, 6: 3258, 7: 19947}
+    assert Counter(map(len, validated)) == {3: 5, 4: 19, 5: 101, 6: 629, 7: 4412}
+    assert invalid == {3: 0, 4: 0, 5: 4, 6: 53, 7: 557}
 
 
 @pytest.mark.slow
