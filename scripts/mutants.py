@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # The oracle's second test: no child is rejected for its canonical last element.
     (
-        "src/posetmat/enumeration.py",
+        "src/posetmat/canon.py",
         "if x != k and not _orbit(1 << x, record.generators) >> k & 1:",
         "if False:",
         "tests/test_enumeration.py",
@@ -56,15 +56,15 @@ MUTANTS = [
     # The oracle tops every ideal of a parent: no orbit skip.
     (
         "src/posetmat/enumeration.py",
-        "_ideal_orbit_leaders(masks, k, parent.whole.generators)",
+        "_ideal_orbit_leaders(masks, k, parent.generators)",
         "_ideal_orbit_leaders(masks, k, ())",
         "tests/test_enumeration.py",
     ),
     # A parent whose search of its child over all of it branches still replays that path.
     (
         "src/posetmat/canon.py",
-        "if all(a[0] < b[0] for a, b in zip(path, path[1:])):",
-        "if True:",
+        "if any(a[0] >= b[0] for a, b in zip(path, path[1:])):",
+        "if False:",
         "tests/test_enumeration.py",
     ),
     # The replay keeps a child whose own block ties with the path's, where it must search it.
@@ -87,6 +87,20 @@ MUTANTS = [
         "return is_connected(self.representative)",
         "return True",
         "tests/test_enumeration.py",
+    ),
+    # The order line takes any Unicode digit, which `int` reads.
+    (
+        "src/posetmat/io.py",
+        "head.isascii() and head.isdigit()",
+        "head.isdigit()",
+        "tests/test_io.py",
+    ),
+    # A recipe nested exactly MAX_RECIPE_DEPTH deep is refused.
+    (
+        "src/posetmat/io.py",
+        "self.depth > MAX_RECIPE_DEPTH",
+        "self.depth >= MAX_RECIPE_DEPTH",
+        "tests/test_io.py",
     ),
     # The closure's memo skips a repeated invalid output without counting it.
     (

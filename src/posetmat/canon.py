@@ -236,11 +236,13 @@ rows of k's block alone, with no search, in two cases:
 
 Either way a kept child places k last, so it passes McKay's second test
 (see enumeration) at once, and its key is R's rows, each widened by the
-empty last column, followed by its last row.  A child the replay leaves
-to the search, and every child of a parent whose recorded search
-branches, is searched from the root.  The child over all of R is one the
-oracle tops (every automorphism fixes R), and `search` returns the
-recorded record for it.
+empty last column, followed by its last row.  A parent whose recorded
+search branches keeps an empty path and no joined rows, so the replay
+decides none of its children.  `ParentSetup.child` is the whole step:
+it takes the replay's decision when there is one, and otherwise searches
+the child from the root and applies the second test to the record.  The
+child over all of R is one the oracle tops (every automorphism fixes R),
+and `search` returns the recorded record for it.
 
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
@@ -390,9 +392,11 @@ class ParentSetup:
 
     A child tops R with a new element k over an ideal s of R.  Its blocks
     and `above` lists are R's, extended by that one element (see above).
-    `replay(s)` decides the child off R's recorded path when it can, and
-    `search(s)` runs the bounded search on those tables from the root
-    (see above).  `packed` is R's key and `masks` its rows.
+    `child(s)` decides the child: `replay(s)` decides it off R's recorded
+    path when it can, and otherwise `search(s)` runs the bounded search on
+    those tables from the root, followed by McKay's second test (see
+    above).  It is built from R's key `packed` and rows `masks`, and its
+    `generators` span Aut(R) (see above).
     """
 
     def __init__(self, packed: int, masks: Masks) -> None:
@@ -404,24 +408,26 @@ class ParentSetup:
         self.above = _above(k + 1, self.blocks)  # the new element is in no down-set
         self.opened = [a + [len(self.blocks)] for a in self.above]  # the same, once k opens a block over x
         # The child over all of R, searched from the root and recorded node
-        # by node; the replay reads the path only if it is one path.
+        # by node; the replay reads the path only if it is one path, and
+        # a path that branches is left empty, so no child is replayed.
         path: list[tuple[int, int, list[tuple[int, int, int]], list[int]]] = []
         self.whole = _search(k + 1, *self.setup((1 << k) - 1), self.bound, path)
-        self.path = None
-        if all(a[0] < b[0] for a, b in zip(path, path[1:])):
-            # Each node's depth, placed set, cells and the output columns of
-            # its fixed elements: the `acc` entry of the block on {k}.
-            self.path = [(depth, placed, cells, acc[-1]) for depth, placed, cells, acc in path]
-            self.column = [0] * k  # the output column bit of each element of R
-            for p, x in enumerate(self.whole.labelling[:k]):
-                self.column[x] = 1 << (k - p)
-            # The replay of a child whose k joins a block of R, by its
-            # down-set: the block is followed at depth d and ends at e.
-            # Only the block that ends at k keeps its child.
-            self.joined: dict[int, int] = {}
-            for (d, placed, _, _), (e, after, _, _) in zip(path, path[1:]):
-                x = ((after ^ placed) & -(after ^ placed)).bit_length() - 1
-                self.joined[masks[x] ^ 1 << x] = self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0
+        self.generators = self.whole.generators
+        # A kept child's first k rows: R's, widened, as in the whole child, whose last row is full.
+        self.prefix = self.whole.packed ^ (1 << k + 1) - 1
+        if any(a[0] >= b[0] for a, b in zip(path, path[1:])):
+            path = []
+        # Each node's depth, placed set, cells and the output columns of
+        # its fixed elements: the `acc` entry of the block on {k}.
+        self.path = [(depth, placed, cells, acc[-1]) for depth, placed, cells, acc in path]
+        self.column = [1 << k - self.whole.labelling.index(x) for x in range(k)]  # each element's output column bit
+        # The replay of a child whose k joins a block of R, by its
+        # down-set: the block is followed at depth d and ends at e.
+        # Only the block that ends at k keeps its child.
+        self.joined: dict[int, int] = {}
+        for (d, placed, _, _), (e, after, _, _) in zip(path, path[1:]):
+            x = ((after ^ placed) & -(after ^ placed)).bit_length() - 1
+            self.joined[masks[x] ^ 1 << x] = self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0
 
     def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
         """The child's blocks and `above` lists: k joins the block with down-set s, or opens one last."""
@@ -439,8 +445,8 @@ class ParentSetup:
         A kept child's last packed row, or 0 for a rejected one.  A kept
         child places k last, so it passes McKay's second test too.
         """
-        if self.path is None:
-            return None
+        if not self.path:
+            return None  # R's search branches: every child is searched
         if s in self.joined:
             return self.joined[s]
         k = self.k
@@ -470,6 +476,29 @@ class ParentSetup:
         if s == (1 << self.k) - 1:
             return self.whole
         return _search(self.k + 1, *self.setup(s), self.bound)
+
+    def child(self, s: int) -> tuple[int, Masks] | None:
+        """The child over s as (packed key, rows) when McKay's two tests keep it, else None.
+
+        The replay decides the child when it can.  Otherwise the bounded
+        search is the first test, and the second asks whether k lies in
+        the orbit of the child's canonical last element under the record's
+        generators, twin swaps included, which span Aut(child).  A kept
+        child's key is R's rows, each widened by the empty last column,
+        followed by its last row, and its rows are R's plus that row.
+        """
+        k = self.k
+        row = self.replay(s)
+        if row is None:
+            record = self.search(s)
+            if record is None:
+                return None  # R is not the child's canonical parent
+            x = record.labelling[-1]
+            if x != k and not _orbit(1 << x, record.generators) >> k & 1:
+                return None  # no automorphism of the child maps its canonical last element to k
+            row = record.packed & (1 << k + 1) - 1
+        # No row: R is not the child's canonical parent, read off R's path.
+        return (self.prefix | row, self.masks + (_row_mask(k + 1, row),)) if row else None
 
 
 def _search(

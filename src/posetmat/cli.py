@@ -117,19 +117,32 @@ def _cmd_compose(args) -> int:
     return _print_result(compose(a, CompositionKind(args.op), args.at, b, relabel=args.relabel))
 
 
+class _Defs(dict):
+    """The `--defs` directory as a symbol table: a name reads its `.pm` file at its first lookup."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = Path(directory)
+        if not self.directory.is_dir():
+            raise NotADirectoryError(f"--defs {directory}: not a directory")
+
+    def __contains__(self, name: object) -> bool:
+        return (self.directory / f"{name}.pm").is_file()
+
+    def __missing__(self, name: str) -> PosetMatrix:
+        if name not in self:
+            raise KeyError(name)
+        path = self.directory / f"{name}.pm"
+        try:
+            matrix = self[name] = parse_matrix(path.read_text())
+        except (MatrixParseError, PosetError) as err:
+            # The same error, so the same exit code, naming the file it came from.
+            err.args = (f"{path}: {err}",)
+            raise
+        return matrix
+
+
 def _cmd_eval(args) -> int:
-    symbols = {}
-    if args.defs:
-        defs = Path(args.defs)
-        if not defs.is_dir():
-            raise NotADirectoryError(f"--defs {args.defs}: not a directory")
-        for path in sorted(defs.glob("*.pm")):
-            try:
-                symbols[path.stem] = parse_matrix(path.read_text())
-            except (MatrixParseError, PosetError) as err:
-                # The same error, so the same exit code, naming the file it came from.
-                err.args = (f"{path}: {err}",)
-                raise
+    symbols = _Defs(args.defs) if args.defs else None
     return _print_result(eval_recipe(parse_recipe(args.expr, symbols)))
 
 

@@ -31,14 +31,9 @@ Two independent routes:
   R's generators are those of its own search of the child over all of
   R, which its set-up runs once (see canon).  That child's one top
   element k is fixed by every automorphism, so its group is Aut(R), in
-  R's own positions.  When that search is a single path, the path alone
-  decides most children: rejected, or kept with k placed last, which
-  passes both tests.  Only the others are searched (see canon).
-
-  Each kept class carries its rows, so no level decodes a key: a
-  kept child C has R as its canonical parent, so rows 0..k-1 of C's
-  canonical matrix are R's (see canon), and its key is R's rows, widened
-  by one column, followed by its last row.
+  R's own positions.  `canon.ParentSetup.child` takes both tests for
+  each child, off R's recorded search where it can, and builds a kept
+  child's key and rows from R's, so no level decodes a key (see canon).
 
 * `composition_closure` closes the order-2 generators C2 and I2 under the
   three partial composition operations, order by order.  Each class of
@@ -84,8 +79,6 @@ from .canon import (
     CanonicalKey,
     ParentSetup,
     _canonical_record,
-    _orbit,
-    _row_mask,
     canonical_form,
     position_orbits,
 )
@@ -260,39 +253,18 @@ Representative = tuple[int, Masks]
 def _extend_chunk(args: tuple[list[Representative], int]) -> list[Representative]:
     """The order-(k+1) classes whose canonical parent is one of the chunk's classes.
 
-    Each parent is set up for the search once.  It tops its
-    representative with one ideal per orbit of the generators of its
-    child over all of it, `whole` (see above), and keeps the child that
-    passes both tests.  The replay of the parent's path decides most
-    children (see canon).  A searched child passes when the bounded
-    search accepts it, and k lies in the orbit of the child's canonical
-    last element under its record's generators, twin swaps included,
-    which span Aut(child) (see canon).  A kept child's rows are the
-    parent's plus its canonical last row.
+    Each parent is set up for the searches of its children once.  It tops
+    its representative with one ideal per orbit of its generators, and
+    keeps each child that `ParentSetup.child` returns: that step decides
+    McKay's two tests and builds the kept child's key and rows (see canon).
     """
     parents, k = args
-    last_row = (1 << (k + 1)) - 1
     kept: list[Representative] = []
     for packed, masks in parents:
         # A canonical representative is stored in a linear extension (see
         # canon), so its rows are a valid prefix for one more top row.
         parent = ParentSetup(packed, masks)
-        prefix = 0  # a kept child's first k rows: R's, widened
-        for row in parent.bound:
-            prefix = (prefix | row) << (k + 1)
-        for s in _ideal_orbit_leaders(masks, k, parent.whole.generators):
-            row = parent.replay(s)
-            if row is None:
-                record = parent.search(s)
-                if record is None:
-                    continue  # R is not the child's canonical parent
-                x = record.labelling[-1]
-                if x != k and not _orbit(1 << x, record.generators) >> k & 1:
-                    continue  # no automorphism of the child maps its canonical last element to k
-                row = record.packed & last_row
-            elif not row:
-                continue  # R is not the child's canonical parent, read off R's path
-            kept.append((prefix | row, masks + (_row_mask(k + 1, row),)))
+        kept += filter(None, map(parent.child, _ideal_orbit_leaders(masks, k, parent.generators)))
     return kept
 
 

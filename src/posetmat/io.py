@@ -33,6 +33,7 @@ unless the table has a literal ``X*`` entry.  C2 (chain) and I2
 from __future__ import annotations
 
 import re
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -234,17 +235,16 @@ class _Parser:
 def parse_recipe(text: str, symbols: Mapping[str, PosetMatrix] | None = None) -> RecipeCall:
     """Parse a recipe expression, resolving every name immediately.
 
-    The symbol table extends (and may shadow) the C2/I2 `GENERATORS`.
-    Parentheses nested deeper than MAX_RECIPE_DEPTH raise RecipeError,
-    and so does a bare name, even in parentheses: a recipe composes.
+    A name is looked up in `symbols` first, then in the C2/I2
+    `GENERATORS`, so the table may shadow them, and only the names the
+    recipe holds are looked up.  Parentheses nested deeper than
+    MAX_RECIPE_DEPTH raise RecipeError, and so does a bare name, even in
+    parentheses: a recipe composes.
     """
-    table = dict(GENERATORS)
-    if symbols:
-        table.update(symbols)
     tokens = _tokenize(text)
     if not tokens:
         raise RecipeError("empty recipe", (0, len(text)))
-    parser = _Parser(tokens, table, len(text))
+    parser = _Parser(tokens, ChainMap({} if symbols is None else symbols, GENERATORS), len(text))
     expr = parser.expr()
     leftover = parser.peek()
     if leftover is not None:

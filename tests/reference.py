@@ -30,6 +30,13 @@ each key and testing its matrix with `posetmat.is_connected`, where the
 oracle carries every class's rows and connected flag from its parent;
 tests build the labelled walk's catalog with it.
 
+`oracle_child` decides a child of the one-point extension oracle by
+McKay's two tests the slow way: a fresh bounded `canonical_search` of the
+child, the closure of its canonical last element under the record's
+generators, and the kept rows decoded from the key.  Tests require
+`ParentSetup.child`, which replays the parent's recorded path where it
+can and builds the key from the parent's rows, to decide alike.
+
 `automorphism_orbits` finds the orbits of the whole automorphism group
 by asking, for each pair of positions, whether some automorphism maps
 one to the other, with a backtracking search that shares nothing with
@@ -62,7 +69,7 @@ import re
 from typing import Iterator
 
 import posetmat
-from posetmat.canon import position_orbits
+from posetmat.canon import _orbit, canonical_search, position_orbits
 from posetmat.core import ValidationReport
 from posetmat.enumeration import MAX_ORACLE_ORDER
 from posetmat.generators import GENERATORS
@@ -434,6 +441,15 @@ def has_induced_n(m) -> bool:
             if any(highs >> d & 1 and lows & ~m.masks[d] for d in range(m.order)):
                 return True
     return False
+
+
+def oracle_child(packed: int, masks, s: int):
+    """The child of the representative (packed, masks) over ideal s, as (key, rows) if both tests keep it, else None."""
+    k = len(masks)
+    record = canonical_search(k + 1, masks + (s | 1 << k,), packed)
+    if record is None or not _orbit(1 << record.labelling[-1], record.generators) >> k & 1:
+        return None  # R is not the child's canonical parent, or k is not in the orbit of its last element
+    return record.packed, posetmat.CanonicalKey(k + 1, record.packed).matrix().masks
 
 
 def _maps_onto(masks, x: int, y: int) -> bool:

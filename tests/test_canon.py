@@ -573,6 +573,7 @@ LIBRARY_CALLS = {
     "unwinding-search": lambda: canonical_search(4, (1, 3, 4, 12)),
     "parent-setup": lambda: [ParentSetup(C2_KEY, (1, 3)).search(s) for s in (0, 1, 3)],  # rejects, accepts, accepts
     "parent-replay": lambda: [ParentSetup(C2_KEY, (1, 3)).replay(s) for s in (0, 1, 3)],  # rejects, keeps, keeps
+    "parent-child": lambda: [ParentSetup(C2_KEY, (1, 3)).child(s) for s in (0, 1, 3)],  # rejects, keeps, keeps
     "canonical_form": lambda: canonical_form(parse_matrix(V_TEXT)),
     "are_isomorphic": lambda: are_isomorphic(parse_matrix(V_TEXT), dual(parse_matrix(V_TEXT))),
     "position_orbits": lambda: position_orbits(parse_matrix(V_TEXT)),

@@ -237,14 +237,30 @@ def test_eval_names_the_def_file_not_in_a_linear_extension(tmp_path, capsys):
     defs.mkdir()
     (defs / "v.pm").write_text(VEE)
     (defs / "w.pm").write_text(UPPER_ENTRY)
-    # The recipe does not use w, but every def file is read.
-    code, out, err = run(capsys, "eval", "v sq@3 C2", "--defs", str(defs))
+    code, out, err = run(capsys, "eval", "v sq@3 w", "--defs", str(defs))
     assert code == 1
     assert out == ""
     assert err == (
         f"error: {defs / 'w.pm'}: storage order is not a linear extension; "
         "apply normalize_linear_extension first\n"
     )
+
+
+def test_eval_reads_only_the_def_files_the_recipe_names(tmp_path, capsys):
+    defs = tmp_path / "defs"
+    defs.mkdir()
+    (defs / "v.pm").write_text(VEE)
+    (defs / "w.pm").write_text(UPPER_ENTRY)
+    (defs / "X.pm").write_text("2\n1 0\n1 2\n")
+    # w and X would fail to load, but the recipe names neither.
+    code, out, err = run(capsys, "eval", "v sq@3 C2", "--defs", str(defs))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "4"
+    # A file named like a generator shadows it.
+    (defs / "C2.pm").write_text(VEE)
+    code, out, err = run(capsys, "eval", "v sq@3 C2", "--defs", str(defs))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "5"
 
 
 def test_eval_unknown_name_is_usage_error(capsys):
