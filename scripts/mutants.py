@@ -70,15 +70,15 @@ MUTANTS = [
     # The replay keeps a child whose own block ties with the path's, where it must search it.
     (
         "src/posetmat/canon.py",
-        "return 0 if row < bound else None",
-        "return 0 if row < bound else row",
+        "return None  # a tie with the path's block: search it",
+        "return row | 1",
         "tests/test_enumeration.py",
     ),
-    # The replay keeps every child whose k joins a block of R, not only the one over the last block.
+    # The replay compares one row of k's block when k joins a block of R, so it decides no join child.
     (
         "src/posetmat/canon.py",
-        "self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0",
-        "self.bound[d] ^ 1 << (k - d) | 1",
+        "self.blocks[self.index[s]][1].bit_count() + 1 if s in self.index else 1",
+        "1",
         "tests/test_enumeration.py",
     ),
     # Every catalog entry reads as connected.
@@ -93,6 +93,13 @@ MUTANTS = [
         "src/posetmat/io.py",
         "head.isascii() and head.isdigit()",
         "head.isdigit()",
+        "tests/test_io.py",
+    ),
+    # A row of n cells that spells more than n characters is read as 0/1 bits.
+    (
+        "src/posetmat/io.py",
+        'len(bits) != order or bits.strip("01")',
+        'bits.strip("01")',
         "tests/test_io.py",
     ),
     # A recipe nested exactly MAX_RECIPE_DEPTH deep is refused.

@@ -161,8 +161,8 @@ mode returns a record only when it accepts.
 
 Set-up.  Before the first node the search needs the blocks and the
 `above` lists (the blocks whose down-set holds each element).
-`canonical_search` builds them from the row masks and runs the one
-search body.  The oracle searches many children of one representative R
+`_setup` builds them from the row masks for the one search body,
+`_search`.  The oracle searches many children of one representative R
 of order k, each R topped with a new element k over an ideal s, so
 `ParentSetup` builds R's tables once and extends them per child.  No
 down-set of R changes, and k's is s: k joins the block with down-set s,
@@ -199,50 +199,59 @@ has in the child over all of R, and meets the same bound rows.  So the
 child's search follows the recorded path for as long as k's block is cut
 at each node, and cuts every other block of R on the way, whatever the
 subtree below returns.  `ParentSetup.replay` decides the child from the
-rows of k's block alone, with no search, in two cases:
+rows of k's block alone, by one rule.  k's block is {k}, or B + k where
+B is R's block with down-set s.  At each recorded node that has placed
+s, the replay compares that block's rows with the bound rows one by one,
+as the search compares any block, and the first row that differs
+decides:
 
-* k joins R's block B, with down-set s, which the path follows at depth
-  d.  At every earlier node that has placed s, B is cut at a position
-  before its end, and the child's block B + k has the same rows there.
-  At depth d it has B's rows, the bound rows d..e-1 with e = d + |B|,
-  then k's row at e: B's row with its diagonal bit moved from d to e, r.
-  If e = k, B + k is the last block, and its leaf ends the search with
-  R's rows and r last, since every block left above it is cut as
-  before; the leaf orders the cell B + k by index, so k comes last.
-  Otherwise r < bound[e], and the search stops there with None.  Let A
-  be the block the path follows at depth e, so bound[e] is its row
-  there.  A split only moves a down-set's members in a cell from its
-  last columns to earlier ones, so a block's row never falls as the path
-  goes down.  If A was available at depth d, its row there was at least
-  B's, or the search of the child over all of R would have stopped.
-  Were A's row at d equal to B's and unchanged at e, A would match the
-  bound rows at depth d (rows d..e-1 are B's, the next are A's) and be
-  searched there too, which a single path does not do.  So bound[e] > r.
-  If A was not available at d, it is above a member of B, so its
-  down-set holds s and a member of B.  Its row at e then holds every
-  column of s, which B's row at d already names (placing B splits each
-  cell so that s takes its last columns), plus a column in d..e-1,
-  before e.
-* k opens its own block {k}, with down-set s, after all of R's.  From
-  the first recorded node that has placed s, its row there is the
-  columns of the fixed members of s plus, in each open cell, its count
-  of members of s packed at the cell's end, and its diagonal bit at the
-  node's depth.  Below that depth's bound row, {k} sorts before the
-  path's block and the search stops there with None.  Above it, {k} is
-  cut and the path goes on to the next node.  Equal to it, {k} ties with
-  the path's block and both are searched.  At depth k, R is placed and
-  {k} is the last block: its leaf ends the search with R's rows and that
-  row last, and k last.
+* Below the bound row: the node's rows, the block's rows up to there and
+  then a lower one start a string of the child that is below R's rows,
+  so R is not its canonical parent and the search ends with None.
+* Above it: the block is cut there, and the path goes on to the next
+  node.
+* No row differs: the block ties with the path's block, and both are
+  searched, so the replay leaves the child to the search.
+* The comparison reaches depth k: R is placed and k's block is the last
+  one, so its leaf is the search's only leaf, since at every node on the
+  path each other block is cut as before.  The leaf has R's rows and k's
+  row last, and it orders its cell by index, so k comes last.
 
-Either way a kept child places k last, so it passes McKay's second test
-(see enumeration) at once, and its key is R's rows, each widened by the
+The rule relies on two facts:
+
+* The rows of k's block are known at every node that has placed s.  All
+  its members have down-set s, so each of its rows is the columns of the
+  fixed members of s plus, in each open cell, its count of members of s
+  packed at the cell's end, and the diagonal bit of the row's position.
+* A child whose k joins B is always decided, at the depth d where the
+  path follows B.  At every earlier node that has placed s, B is cut at
+  a position before its end, and B + k has the same rows there.  At
+  depth d B + k is never cut: it has B's rows, the bound rows d..e-1
+  with e = d + |B|, then k's row at e: B's row with its diagonal bit
+  moved from d to e, r.  Either e = k and the comparison reaches depth
+  k, or r < bound[e].  Let A be the block the path follows at depth e,
+  so bound[e] is its row there.  A split only moves a down-set's members
+  in a cell from its last columns to earlier ones, so a block's row
+  never falls as the path goes down.  If A was available at depth d, its
+  row there was at least B's, or the search of the child over all of R
+  would have stopped.  Were A's row at d equal to B's and unchanged at
+  e, A would match the bound rows at depth d (rows d..e-1 are B's, the
+  next are A's) and be searched there too, which a single path does not
+  do.  So bound[e] > r.  If A was not available at d, it is above a
+  member of B, so its down-set holds s and a member of B.  Its row at e
+  then holds every column of s, which B's row at d already names
+  (placing B splits each cell so that s takes its last columns), plus a
+  column in d..e-1, before e.
+
+A kept child places k last, so it passes McKay's second test (see
+enumeration) at once, and its key is R's rows, each widened by the
 empty last column, followed by its last row.  A parent whose recorded
-search branches keeps an empty path and no joined rows, so the replay
-decides none of its children.  `ParentSetup.child` is the whole step:
-it takes the replay's decision when there is one, and otherwise searches
-the child from the root and applies the second test to the record.  The
-child over all of R is one the oracle tops (every automorphism fixes R),
-and `search` returns the recorded record for it.
+search branches keeps an empty path, so the replay decides none of its
+children.  `ParentSetup.child` is the whole step: it takes the replay's
+decision when there is one, and otherwise searches the child from the
+root and applies the second test to the record.  The child over all of
+R is one the oracle tops (every automorphism fixes R), and `search`
+returns the recorded record for it.
 
 Block rows are built incrementally.  An element is fixed once it is
 alone in its cell, and `acc[b]` carries the output bits of the fixed
@@ -340,16 +349,6 @@ class SearchRecord(NamedTuple):
     nodes: int  # nodes opened, each placing a block
 
 
-def canonical_search(n: int, row_masks: Sequence[int], parent: int | None = None) -> SearchRecord | None:
-    """The search record of a matrix given as low-bit row masks.
-
-    With `parent`, the packed key of an order n-1 class that is isomorphic
-    to the matrix less some maximal element, the result is None unless
-    that class is the matrix's canonical parent (see above).
-    """
-    return _search(n, *_setup(n, row_masks), [] if parent is None else _bound(n - 1, parent))
-
-
 def _bound(width: int, parent: int) -> list[int]:
     """The rows of a packed key of order `width`, each widened by an empty last column."""
     return [(parent >> (width * (width - 1 - y)) & ((1 << width) - 1)) << 1 for y in range(width)]
@@ -393,10 +392,11 @@ class ParentSetup:
     A child tops R with a new element k over an ideal s of R.  Its blocks
     and `above` lists are R's, extended by that one element (see above).
     `child(s)` decides the child: `replay(s)` decides it off R's recorded
-    path when it can, and otherwise `search(s)` runs the bounded search on
-    those tables from the root, followed by McKay's second test (see
-    above).  It is built from R's key `packed` and rows `masks`, and its
-    `generators` span Aut(R) (see above).
+    path when it can, comparing the rows of k's block with R's at each
+    recorded node as the search would, and otherwise `search(s)` runs the
+    bounded search on those tables from the root, followed by McKay's
+    second test (see above).  It is built from R's key `packed` and rows
+    `masks`, and its `generators` span Aut(R) (see above).
     """
 
     def __init__(self, packed: int, masks: Masks) -> None:
@@ -421,13 +421,6 @@ class ParentSetup:
         # its fixed elements: the `acc` entry of the block on {k}.
         self.path = [(depth, placed, cells, acc[-1]) for depth, placed, cells, acc in path]
         self.column = [1 << k - self.whole.labelling.index(x) for x in range(k)]  # each element's output column bit
-        # The replay of a child whose k joins a block of R, by its
-        # down-set: the block is followed at depth d and ends at e.
-        # Only the block that ends at k keeps its child.
-        self.joined: dict[int, int] = {}
-        for (d, placed, _, _), (e, after, _, _) in zip(path, path[1:]):
-            x = ((after ^ placed) & -(after ^ placed)).bit_length() - 1
-            self.joined[masks[x] ^ 1 << x] = self.bound[d] ^ 1 << (k - d) | 1 if e == k else 0
 
     def setup(self, s: int) -> tuple[list[Block], list[list[int]]]:
         """The child's blocks and `above` lists: k joins the block with down-set s, or opens one last."""
@@ -442,14 +435,19 @@ class ParentSetup:
     def replay(self, s: int) -> int | None:
         """The child over s decided off R's path (see above), or None when it must be searched.
 
-        A kept child's last packed row, or 0 for a rejected one.  A kept
-        child places k last, so it passes McKay's second test too.
+        At each recorded node that has placed s, k's block, {k} or R's
+        block over s with k, is compared with the bound rows row by row.
+        The first row below its bound row rejects the child, one above
+        cuts the block, a block equal to the bound ties and is searched,
+        and a comparison that reaches depth k keeps the child.  A kept
+        child's last packed row, or 0 for a rejected one.  A kept child
+        places k last, so it passes McKay's second test too.
         """
         if not self.path:
             return None  # R's search branches: every child is searched
-        if s in self.joined:
-            return self.joined[s]
-        k = self.k
+        k, bound = self.k, self.bound
+        # The size of k's block: R's block over s with k, or {k}.
+        size = self.blocks[self.index[s]][1].bit_count() + 1 if s in self.index else 1
         at = 0  # the output columns of the members of s, once fixed
         rest = s
         while rest:
@@ -459,20 +457,25 @@ class ParentSetup:
         for depth, placed, cells, fixed in self.path:
             if s & ~placed:
                 continue  # k's block is not available before s is placed
-            row = fixed & at | 1 << (k - depth)
+            # The block's row less its diagonal, compared with the bound rows as `_search` compares a block.
+            row = fixed & at
             for _, cell, shift in cells:
                 inner = (cell & s).bit_count()
                 if inner:
                     row |= ((1 << inner) - 1) << shift
-            if depth == k:
-                return row  # k is placed last
-            bound = self.bound[depth]
-            if row <= bound:
-                return 0 if row < bound else None  # below R's row: rejected; a tie: search it
+            j, end = depth, depth + size
+            while j < end and j < k and row | 1 << (k - j) == bound[j]:
+                j += 1
+            if j == end:
+                return None  # a tie with the path's block: search it
+            if j == k:
+                return row | 1  # k is placed last
+            if row | 1 << (k - j) < bound[j]:
+                return 0  # below R's row: rejected
         return None  # not reached: the path ends at depth k
 
     def search(self, s: int) -> SearchRecord | None:
-        """`canonical_search` of the child bounded by R."""
+        """The search record of the child, bounded by R: None unless R is its canonical parent."""
         if s == (1 << self.k) - 1:
             return self.whole
         return _search(self.k + 1, *self.setup(s), self.bound)

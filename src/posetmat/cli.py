@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .canon import are_isomorphic, canonical_form
 from .compose import CompositionKind, compose
@@ -39,19 +40,26 @@ from .io import (
 
 OK, DOMAIN_FAIL, USAGE_FAIL = 0, 1, 2
 
-
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text()
+T = TypeVar("T")
 
 
-def _load(source: str) -> PosetMatrix:
-    return parse_matrix(_read_text(source))
+def _load(source: str, parse: Callable[[str], T] = parse_matrix) -> T:
+    """`parse` of the text of a file, or of stdin for `-`, with the source in front of any error.
+
+    A parse or poset error keeps its type, so its exit code; a file that
+    is not UTF-8 is a usage error.
+    """
+    try:
+        return parse(sys.stdin.read() if source == "-" else Path(source).read_text())
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{source}: {err}") from None
+    except (MatrixParseError, PosetError) as err:
+        err.args = (f"{source}: {err}",)
+        raise
 
 
 def _cmd_validate(args) -> int:
-    masks, _ = parse_candidate(_read_text(args.matrix))
+    masks, _ = _load(args.matrix, parse_candidate)
     report = validate_masks(masks)
     print(report.summary())
     if report.ok and not report.lower_triangular_ok:
@@ -60,7 +68,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    masks, labels = parse_candidate(_read_text(args.matrix))
+    masks, labels = _load(args.matrix, parse_candidate)
     print(serialize_matrix(normalize_masks(masks, labels)), end="")
     return OK
 
@@ -131,13 +139,7 @@ class _Defs(dict):
     def __missing__(self, name: str) -> PosetMatrix:
         if name not in self:
             raise KeyError(name)
-        path = self.directory / f"{name}.pm"
-        try:
-            matrix = self[name] = parse_matrix(path.read_text())
-        except (MatrixParseError, PosetError) as err:
-            # The same error, so the same exit code, naming the file it came from.
-            err.args = (f"{path}: {err}",)
-            raise
+        matrix = self[name] = _load(str(self.directory / f"{name}.pm"))
         return matrix
 
 

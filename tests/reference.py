@@ -17,6 +17,13 @@ It is exponential on symmetric posets without twins, but it is the search
 whose least bit-strings every recorded key was made with, so the pruned
 search in `posetmat.canon` must return exactly its rows.
 
+`canonical_search` runs that pruned search, `posetmat.canon._search`,
+from the root on a fresh set-up of the row masks, optionally bounded by
+a parent key.  The library reaches the search through `canonical_form`
+and through `ParentSetup`, which builds a child's tables from its
+parent's; tests use this entry point as the slow path that both must
+match, record for record.
+
 `ideals` finds the order ideals of a linear-extension prefix by testing
 all 2^k subsets, where `posetmat.enumeration._ideals` builds them
 position by position.  `iter_matrices` walks every labelled
@@ -69,7 +76,7 @@ import re
 from typing import Iterator
 
 import posetmat
-from posetmat.canon import _orbit, canonical_search, position_orbits
+from posetmat.canon import SearchRecord, _bound, _orbit, _search, _setup, position_orbits
 from posetmat.core import ValidationReport
 from posetmat.enumeration import MAX_ORACLE_ORDER
 from posetmat.generators import GENERATORS
@@ -277,6 +284,16 @@ def _minimal_row_ints(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> tup
 
     rec(0, 0)
     return tuple(best)
+
+
+def canonical_search(n: int, row_masks, parent: int | None = None) -> SearchRecord | None:
+    """The search record of a matrix given as low-bit row masks.
+
+    With `parent`, the packed key of an order n-1 class that is isomorphic
+    to the matrix less some maximal element, the result is None unless
+    that class is the matrix's canonical parent (see `posetmat.canon`).
+    """
+    return _search(n, *_setup(n, row_masks), [] if parent is None else _bound(n - 1, parent))
 
 
 def packed_from_masks(n: int, row_masks) -> int:

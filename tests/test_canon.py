@@ -23,11 +23,11 @@ from posetmat import (
     serialize_matrix,
 )
 from posetmat import canon
-from posetmat.canon import ParentSetup, canonical_search, position_orbits
+from posetmat.canon import ParentSetup, position_orbits
 from posetmat.generators import antichain, chain
 
 import reference
-from reference import automorphism_orbits, iter_matrices
+from reference import automorphism_orbits, canonical_search, iter_matrices
 from conftest import brute_canonical_packed, close_down, iter_all_posets, poset_matrices
 
 

@@ -246,6 +246,16 @@ def test_eval_names_the_def_file_not_in_a_linear_extension(tmp_path, capsys):
     )
 
 
+def test_eval_names_the_def_file_that_is_not_utf8(tmp_path, capsys):
+    defs = tmp_path / "defs"
+    defs.mkdir()
+    (defs / "v.pm").write_text(VEE)
+    (defs / "bad.pm").write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, "eval", "--defs", str(defs), "v sq@3 bad")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {defs / 'bad.pm'}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_eval_reads_only_the_def_files_the_recipe_names(tmp_path, capsys):
     defs = tmp_path / "defs"
     defs.mkdir()
@@ -319,6 +329,22 @@ def test_iso_false_across_classes(tmp_path, capsys):
     right = put(tmp_path, "b.pm", VEE)
     code, out, err = run(capsys, "iso", left, right)
     assert (code, out) == (1, "false\n")
+
+
+def test_iso_names_the_file_that_fails_to_parse(tmp_path, capsys):
+    left = put(tmp_path, "v.pm", VEE)
+    right = put(tmp_path, "bad.pm", "2\n1 0\n1 2\n")
+    code, out, err = run(capsys, "iso", left, right)
+    assert (code, out) == (2, "")
+    assert err == f"error: {right}: line 3: entry '2' is not 0 or 1\n"
+
+
+def test_validate_names_the_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "m.pm"
+    path.write_bytes(b"\xff2\n1 0\n1 1\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def chain_file(tmp_path, n):
@@ -459,15 +485,17 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
 
 
 def test_garbled_matrix_is_usage_error(tmp_path, capsys):
-    code, out, err = run(capsys, "canon", put(tmp_path, "m.pm", "what\n"))
+    path = put(tmp_path, "m.pm", "what\n")
+    code, out, err = run(capsys, "canon", path)
     assert code == 2
-    assert "line 1" in err
+    assert err.startswith(f"error: {path}: line 1")
 
 
 def test_axiom_failure_on_load_is_domain_error(tmp_path, capsys):
-    code, out, err = run(capsys, "canon", put(tmp_path, "m.pm", NOT_TRANSITIVE))
+    path = put(tmp_path, "m.pm", NOT_TRANSITIVE)
+    code, out, err = run(capsys, "canon", path)
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {path}: ")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -30,7 +30,7 @@ from posetmat import (
 import posetmat
 from posetmat import enumeration
 from posetmat import canon
-from posetmat.canon import ParentSetup, canonical_search, position_orbits
+from posetmat.canon import ParentSetup, position_orbits
 from posetmat.cli import main
 from posetmat.core import default_labels
 from posetmat.compose import CompositionKind, compose
@@ -45,6 +45,7 @@ from posetmat.enumeration import (
 from conftest import iter_all_posets
 from reference import (
     automorphism_orbits,
+    canonical_search,
     catalog_from_packed,
     composition_closure as reference_closure,
     group_order,
@@ -290,6 +291,38 @@ def test_most_parents_replay_their_path():
     assert (len(parents), single, replayed, decided) == (405, 329, 3841, 3460)
 
 
+def assert_replay_decides_every_join_child(n):
+    """(join children, kept) over every ideal of every single-path parent of orders 1..n.
+
+    A join child's k joins a block of R: its ideal is the down-set of one
+    of R's blocks.  The replay decides each of them, at the node where
+    R's path follows that block.
+    """
+    joins = kept = 0
+    for k, level in enumerate(oracle_levels(n), 1):
+        for packed, masks in level:
+            parent = ParentSetup(packed, masks)
+            if not parent.path:
+                continue
+            for s in ideals(masks, k):
+                if s in parent.index:
+                    row = parent.replay(s)
+                    assert row is not None, (masks, s)
+                    joins += 1
+                    kept += row > 0
+    return joins, kept
+
+
+def test_replay_decides_every_join_child():
+    # One join child is kept per single-path parent: the one over the block that ends at k.
+    assert assert_replay_decides_every_join_child(6) == (1_160, 329)
+
+
+@pytest.mark.slow
+def test_replay_decides_every_join_child_order7():
+    assert assert_replay_decides_every_join_child(7) == (7_552, 1_781)
+
+
 def test_a_parent_whose_path_branches_searches_from_the_root():
     # 0 < 4 and 1 < 2, 3, with twins 2 and 3: over the minimal cell the
     # blocks {4} and {2, 3} give equal rows, so the child over all of R branches.
@@ -298,7 +331,7 @@ def test_a_parent_whose_path_branches_searches_from_the_root():
     assert CanonicalKey(5, packed).matrix().masks == masks
     assert (0, 1, 3, 2, 4) in canonical_search(5, masks).generators
     parent = ParentSetup(packed, masks)
-    assert parent.path == [] and parent.joined == {}  # so the replay has nothing to read
+    assert parent.path == []  # so the replay has nothing to read
     for s in ideals(masks, 5):
         assert parent.replay(s) is None  # the replay decides none of its children
         assert_child_search_is_the_fresh_search(packed, parent, s)
@@ -789,7 +822,7 @@ def test_count_table_refuses_order_one_for_the_closure(method):
         count_table(1, method=method)
 
 
-@pytest.mark.parametrize("source", ["known", "oracle7"])
+@pytest.mark.parametrize("source", ["known", "oracle7", pytest.param("oracle8", marks=pytest.mark.slow)])
 def test_known_totals_are_the_euler_transform_of_the_connected_counts(source):
     # A poset is a multiset of connected components, so with c_k the sum of
     # d * connected[d] over the divisors d of k, n * total[n] is the sum of
@@ -799,7 +832,7 @@ def test_known_totals_are_the_euler_transform_of_the_connected_counts(source):
     if source == "known":
         counts = KNOWN_COUNTS
     else:
-        counts = {r.order: (r.total, r.connected) for r in count_table(7).rows}
+        counts = {r.order: (r.total, r.connected) for r in count_table(int(source[-1])).rows}
     orders = sorted(counts)
     assert orders == list(range(1, len(orders) + 1))
     connected = {n: counts[n][1] for n in orders}
