@@ -116,6 +116,27 @@ MUTANTS = [
         "if (packed := seen[masks]) is None: continue",
         "tests/test_enumeration.py::test_closure_table_through_order7",
     ),
+    # The closure keys its outputs through the process-wide cache, which then holds every output.
+    (
+        "src/posetmat/enumeration.py",
+        "    _record,\n",
+        "    _canonical_record as _record,\n",
+        "tests/test_enumeration.py::test_closure_caches_only_its_operands",
+    ),
+    # CanonicalKey.parse accepts the key of any valid lower-triangular matrix, canonical or not.
+    (
+        "src/posetmat/canon.py",
+        " and _canonical_record(masks)[0] == packed",
+        "",
+        "tests/test_canon.py",
+    ),
+    # A label may hold the matrix file's comment sign.
+    (
+        "src/posetmat/core.py",
+        'label.split() != [label] or "#" in label',
+        "label.split() != [label]",
+        "tests/test_core.py",
+    ),
 ]
 
 

@@ -666,19 +666,23 @@ def _swap(n: int, t: int, e: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-# Distinct matrices seen: 4,554 by the composition closure to order 7 and
-# 1,614 to 1,636 by a stream of 3,000 mixed library requests (seeds 1 to 3
-# of `perfbench/reqgen.py`), so neither evicts; the bound caps the memory of
-# long-lived processes.  Only the packed key and
-# the record's generators are kept: `canonical_form`, `are_isomorphic` and
-# `CanonicalKey.parse` read the key, `position_orbits` the generators.  A
-# rigid matrix shares one empty tuple, so its entry costs little more than
-# its key.
-@lru_cache(maxsize=2**15)
-def _canonical_record(masks: Masks) -> tuple[int, Generators]:
+def _record(masks: Masks) -> tuple[int, Generators]:
+    """The packed key and generators of the canonical search of `masks`, uncached."""
     n = len(masks)
     record = _search(n, *_setup(n, masks), [])
     return record.packed, record.generators
+
+
+# The cache of `_record`.  Only the packed key and the record's generators
+# are kept: `canonical_form`, `are_isomorphic` and `CanonicalKey.parse` read
+# the key, `position_orbits` the generators.  A rigid matrix shares one empty
+# tuple, so its entry costs little more than its key.  Distinct matrices
+# held: 1,614 to 1,636 after a stream of 3,000 mixed library requests (seeds
+# 1 to 3 of `perfbench/reqgen.py`), and the closure's operands, whose orbits
+# it reads: 401 to order 7 and 2,361 to order 8.  The closure keys its
+# outputs with `_record` itself, each once (see enumeration), so none of
+# these evicts; the bound caps the memory of long-lived processes.
+_canonical_record = lru_cache(maxsize=2**15)(_record)
 
 
 def canonical_form(m: PosetMatrix) -> CanonicalKey:

@@ -55,8 +55,12 @@ Two independent routes:
   `(A sq@i B) sq@j C` and `A sq@i (B sq@j' C)` are one matrix, and two
   kinds often assemble equal masks.  Order 7's 19,947 compositions yield
   4,412 distinct matrices.  Equal masks under default labels have one
-  validity, key and representative, so each is validated and keyed
-  once, and a repeat still counts when invalid or offers its recipe.
+  validity, key and representative, so each is validated once and, when
+  valid, keyed once, and a repeat still counts when invalid or offers its
+  recipe.  That table of outputs is the closure's memo, so it keys them by
+  the uncached search (`canon._record`), and the process-wide cache holds
+  only the operands whose orbits it reads: 401 matrices to order 7 and
+  2,361 to order 8, not every output.
 
 Both orbit skips keep every class under any group of automorphisms (see
 canon); the oracle keeps each exactly once under the whole group (see above).
@@ -66,7 +70,7 @@ pairs of operand classes) into independent chunks whose per-chunk results
 merge associatively (the oracle's by concatenation), so the classes found
 do not depend on the worker count.
 With more than one worker, one process pool, of at most one process per
-CPU, serves every level of a call.
+CPU the process may run on, serves every level of a call.
 """
 from __future__ import annotations
 
@@ -78,7 +82,7 @@ from typing import Mapping, Sequence
 from .canon import (
     CanonicalKey,
     ParentSetup,
-    _canonical_record,
+    _record,
     canonical_form,
     position_orbits,
 )
@@ -202,8 +206,11 @@ class _ChunkMap:
         if self._pool is None:
             import multiprocessing  # loaded by the first pool, not by `import posetmat`
 
-            # Chunks follow `workers`, so outputs do not depend on the pool size.
-            self._pool = multiprocessing.Pool(min(self.workers, os.cpu_count() or 1))
+            # The CPUs this process may run on, where the platform says.  Chunks
+            # follow `workers`, so outputs do not depend on the pool size.
+            affinity = getattr(os, "sched_getaffinity", None)
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            self._pool = multiprocessing.Pool(min(self.workers, cpus))
         return self._pool.map(func, tasks)
 
 
@@ -311,10 +318,10 @@ def _compose_chunk(
     its orbits are found once for all of them.
 
     Outputs repeat (the `sq` sequential law, and equal outputs of two
-    kinds), so `seen` validates and keys each distinct output once.  A
-    repeat has its first sighting's validity and key, and still counts or
-    offers its recipe, so recipes, representatives and invalid counts
-    are exact.
+    kinds), so `seen` validates and keys each distinct output once, by
+    the uncached search: nothing else reads an output's key.  A repeat
+    has its first sighting's validity and key, and still counts or offers
+    its recipe, so recipes, representatives and invalid counts are exact.
     """
     (pairs,) = args
     best: dict[int, tuple[str, Masks]] = {}
@@ -332,7 +339,7 @@ def _compose_chunk(
                 if masks in seen:
                     packed = seen[masks]
                 else:
-                    seen[masks] = packed = _canonical_record(masks)[0] if validate_masks(masks).ok else None
+                    seen[masks] = packed = _record(masks)[0] if validate_masks(masks).ok else None
                 if packed is None:
                     invalid += bin(orbit).count("1")
                     continue

@@ -70,7 +70,10 @@ bitmasks, so tests can check that identity against the oracle's classes.
 public `compose` and `canonical_form`, validating and keying every
 composition, where `posetmat.enumeration` validates and keys each
 distinct output once; tests require the two closures to agree entry for
-entry.
+entry.  Given a positions filter, such as `at_extreme_positions` (`up`
+only where i is maximal in A, `dn` only where i is minimal, `sq`
+everywhere), it composes only where the filter holds; tests pin what
+that restricted closure reaches.
 """
 import re
 from typing import Iterator
@@ -406,13 +409,24 @@ def square_closure(max_n: int) -> dict[int, dict[posetmat.CanonicalKey, posetmat
     return levels
 
 
-def composition_closure(max_n: int) -> dict[int, posetmat.ClassCatalog]:
+def at_extreme_positions(a: posetmat.PosetMatrix, kind: posetmat.CompositionKind, i: int) -> bool:
+    """Whether `A kind@i B` is `sq`, `up` at a maximal element i of A, or `dn` at a minimal one."""
+    if kind is posetmat.CompositionKind.SQUARE:
+        return True
+    extreme = a.maximal if kind is posetmat.CompositionKind.TRI_UP else a.minimal
+    return bool(extreme >> i - 1 & 1)
+
+
+def composition_closure(max_n: int, positions=None) -> dict[int, posetmat.ClassCatalog]:
     """The classes of orders 2..max_n reached from C2 and I2, composed one by one.
 
     Each orbit leader position of each operand pair is composed by the
     public `compose`, validated, and keyed by `canonical_form`, with no
     memo of earlier outputs.  Recipes are chosen shortest first, ties to
     the lexicographically smaller, and each class keeps its recipe's output.
+    With `positions`, `a kind@i b` is composed only where
+    `positions(a, kind, i)` holds.  An automorphism of A keeps its minimal
+    and maximal elements, so `at_extreme_positions` holds alike on each orbit.
     """
 
     def wrap(recipe: str) -> str:
@@ -432,6 +446,8 @@ def composition_closure(max_n: int) -> dict[int, posetmat.ClassCatalog]:
                     for kind in posetmat.CompositionKind:
                         for orbit in position_orbits(a.representative):
                             i = (orbit & -orbit).bit_length()
+                            if positions is not None and not positions(a.representative, kind, i):
+                                continue
                             result = posetmat.compose(a.representative, kind, i, b.representative, relabel=True)
                             if not result.valid:
                                 invalid += bin(orbit).count("1")

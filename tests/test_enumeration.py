@@ -44,6 +44,7 @@ from posetmat.enumeration import (
 
 from conftest import iter_all_posets
 from reference import (
+    at_extreme_positions,
     automorphism_orbits,
     canonical_search,
     catalog_from_packed,
@@ -599,7 +600,7 @@ def test_closure_is_the_reference_closure_order7(closure7):
 
 def test_closure_validates_and_keys_each_distinct_output_once(monkeypatch):
     composed, validated, invalid, keyed = Counter(), Counter(), Counter(), Counter()
-    assemble, validate, record = enumeration._assemble, enumeration.validate_masks, enumeration._canonical_record
+    assemble, validate, record = enumeration._assemble, enumeration.validate_masks, enumeration._record
 
     def counting_assemble(*args):
         masks = assemble(*args)
@@ -618,7 +619,7 @@ def test_closure_validates_and_keys_each_distinct_output_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_assemble", counting_assemble)
     monkeypatch.setattr(enumeration, "validate_masks", counting_validate)
-    monkeypatch.setattr(enumeration, "_canonical_record", counting_record)
+    monkeypatch.setattr(enumeration, "_record", counting_record)
     composition_closure(7)
     # Each distinct output is validated once, and keyed once when it is valid.
     assert set(validated.values()) == set(keyed.values()) == {1}
@@ -628,9 +629,64 @@ def test_closure_validates_and_keys_each_distinct_output_once(monkeypatch):
     assert invalid == {3: 0, 4: 0, 5: 4, 6: 53, 7: 557}
 
 
+def assert_closure_caches_only_its_operands(max_n, size):
+    # The closure keys its outputs with the uncached search; the cache
+    # holds the representatives of orders 2..max_n-1, whose orbits it reads.
+    canon._canonical_record.cache_clear()
+    closure = composition_closure(max_n)
+    info = canon._canonical_record.cache_info()
+    assert info.currsize == info.misses == size  # nothing was evicted
+    operands = [e.representative for n in range(2, max_n) for e in closure[n].entries.values()]
+    assert len(operands) == size
+    for m in operands:
+        position_orbits(m)
+    assert canon._canonical_record.cache_info() == info._replace(hits=info.hits + size)
+
+
+def test_closure_caches_only_its_operands():
+    assert_closure_caches_only_its_operands(7, 401)
+
+
+@pytest.mark.slow
+def test_closure_caches_only_its_operands_order8():
+    assert_closure_caches_only_its_operands(8, 2361)
+
+
 @pytest.mark.slow
 def test_closure_table_order8():
     assert closure_table(composition_closure(8))[8] == (14779, 12380, 7598)
+
+
+# (total, connected, invalid_outputs) per order of the closure that composes
+# `up` only at maximal and `dn` only at minimal positions of A, `sq` anywhere.
+EXTREME_CLOSURE_TABLE = {
+    2: (2, 1, 0),
+    3: (5, 3, 0),
+    4: (16, 10, 0),
+    5: (63, 44, 0),
+    6: (313, 233, 0),
+    7: (1892, 1502, 0),
+}
+
+
+def test_closure_at_extreme_positions(closure7):
+    restricted = reference_closure(7, at_extreme_positions)
+    assert closure_table(restricted) == EXTREME_CLOSURE_TABLE
+    for n in restricted:
+        assert restricted[n].keys() <= closure7[n].keys()
+    # The two classes of order 6 that need a triangle kind at an inner
+    # position: a diamond with one more bottom below one of its middle
+    # elements and one more top above a middle element, the same one or
+    # the other.  Both are connected and self-dual.
+    assert closure7[6].keys() - restricted[6].keys() == {
+        CanonicalKey.parse("6:81061ccbb"),
+        CanonicalKey.parse("6:810634dbd"),
+    }
+
+
+@pytest.mark.slow
+def test_closure_at_extreme_positions_order8():
+    assert closure_table(reference_closure(8, at_extreme_positions))[8] == (13361, 11032, 0)
 
 
 # Series-parallel posets by order (OEIS A003430).
@@ -901,15 +957,12 @@ def test_workers_below_one_are_refused(call, workers):
         call(workers)
 
 
-@pytest.mark.parametrize(
-    "workers, cpus, size", [(10_000, 3, 3), (2, 3, 2), (10_000, None, 1)]
-)
-def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, workers, cpus, size):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools opened, by a stand-in pool that maps in this process and starts no workers."""
     sizes = []
 
     class SerialPool:
-        """Records the requested size and maps in this process; starts no workers."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -923,7 +976,26 @@ def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, workers, cpus, size):
             pass
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, size", [(10_000, 3, 3), (2, 3, 2), (10_000, None, 1)]
+)
+def test_pool_size_is_capped_by_the_cpu_count(monkeypatch, pool_sizes, workers, cpus, size):
+    # Where the platform cannot say which CPUs the process may use.
+    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     render = count_table(5, method="both", expected=KNOWN_COUNTS, workers=workers).render()
-    assert sizes == [size]
+    assert pool_sizes == [size]
+    assert render == count_table(5, method="both", expected=KNOWN_COUNTS).render()
+
+
+@pytest.mark.parametrize("workers", [2, 10_000])
+def test_pool_size_is_capped_by_the_cpus_the_process_may_use(monkeypatch, pool_sizes, workers):
+    # As under `taskset -c 1` on a machine of four CPUs.
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    render = count_table(5, method="both", expected=KNOWN_COUNTS, workers=workers).render()
+    assert pool_sizes == [1]
     assert render == count_table(5, method="both", expected=KNOWN_COUNTS).render()
